@@ -11,18 +11,27 @@ use galactos_bench::tables::{fmt_secs, print_table};
 use galactos_bench::BENCH_SEED;
 use galactos_core::config::{EngineConfig, Scheduling};
 use galactos_core::engine::Engine;
+use galactos_core::estimator::EstimatorChoice;
 use std::time::Instant;
 
+/// Best of two runs of the tree engine (primary scheduling is a
+/// traversal concept, so the estimator is pinned whatever
+/// GALACTOS_ESTIMATOR says) under `scheduling`.
 fn time_schedule(
-    engine: &Engine,
+    rmax: f64,
     catalog: &galactos_catalog::Catalog,
     scheduling: Scheduling,
 ) -> (f64, u64) {
+    let mut config = EngineConfig::paper_default(rmax);
+    config.subtract_self_pairs = false;
+    config.estimator = EstimatorChoice::Tree;
+    config.scheduling = scheduling;
+    let engine = Engine::new(config);
     let mut best = f64::INFINITY;
     let mut pairs = 0;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let z = engine.compute_with_scheduling(catalog, scheduling);
+        let z = engine.compute(catalog);
         best = best.min(t0.elapsed().as_secs_f64());
         pairs = z.binned_pairs;
     }
@@ -38,13 +47,8 @@ fn main() {
     for (label, clustered) in [("uniform", false), ("clustered", true)] {
         let catalog = node_dataset(n, clustered, BENCH_SEED);
         let rmax = scaled_rmax(&catalog);
-        // One engine (tables are ℓmax-sized and expensive); the
-        // schedule is chosen per call via the shared driver.
-        let mut config = EngineConfig::paper_default(rmax);
-        config.subtract_self_pairs = false;
-        let engine = Engine::new(config);
-        let (t_dyn, pairs) = time_schedule(&engine, &catalog, Scheduling::Dynamic);
-        let (t_static, _) = time_schedule(&engine, &catalog, Scheduling::Static);
+        let (t_dyn, pairs) = time_schedule(rmax, &catalog, Scheduling::Dynamic);
+        let (t_static, _) = time_schedule(rmax, &catalog, Scheduling::Static);
         rows.push(vec![
             label.to_string(),
             format!("{}", catalog.len()),

@@ -3,16 +3,17 @@
 //! The paper's pie chart for the 225k-galaxy node dataset: ~55% of the
 //! time in the multipole accumulation kernel, the rest split between
 //! k-d tree construction (incl. partitioning/halo exchange), tree
-//! search, and I/O. We run the instrumented engine on the scaled node
-//! dataset and print the same decomposition.
+//! search, and I/O. We run the observed engine on the scaled node
+//! dataset and print the same decomposition. Exits nonzero when the
+//! kernel stage reads zero time.
 
 use galactos_bench::datasets::{node_dataset, scaled_rmax};
 use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{tree_stage_nanos, BENCH_SEED};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::flops::FlopCounter;
-use galactos_core::timing::{StageTimer, ALL_STAGES};
+use galactos_core::estimator::EstimatorChoice;
+use galactos_core::ObsSession;
 use std::time::Instant;
 
 fn main() {
@@ -22,21 +23,19 @@ fn main() {
         .unwrap_or(30_000);
 
     // "I/O": catalog creation + a round-trip through the binary format.
-    let timer = StageTimer::new();
     let t0 = Instant::now();
     let catalog = node_dataset(n, true, BENCH_SEED);
     let tmp = std::env::temp_dir().join("galactos_fig04.gcat");
     galactos_catalog::io::write_binary(&catalog, &tmp).expect("write");
     let catalog = galactos_catalog::io::read_binary(&tmp).expect("read");
     std::fs::remove_file(&tmp).ok();
-    timer.add(
-        galactos_core::timing::Stage::Io,
-        t0.elapsed().as_nanos() as u64,
-    );
+    let io_nanos = t0.elapsed().as_nanos() as u64;
 
     let rmax = scaled_rmax(&catalog);
     let mut config = EngineConfig::paper_default(rmax);
     config.subtract_self_pairs = false;
+    // The breakdown is the tree engine's, whatever GALACTOS_ESTIMATOR says.
+    config.estimator = EstimatorChoice::Tree;
     println!(
         "dataset: {} galaxies (clustered, Outer Rim density), Rmax = {rmax:.1} Mpc/h, lmax = {}\n",
         catalog.len(),
@@ -44,32 +43,38 @@ fn main() {
     );
 
     let engine = Engine::new(config);
-    let flops = FlopCounter::new();
+    let obs = ObsSession::enabled();
     let t1 = Instant::now();
-    let zeta = engine.compute_instrumented(&catalog, Some(&timer), Some(&flops));
+    let zeta = engine.compute_observed(&catalog, &obs);
     let wall = t1.elapsed().as_secs_f64();
 
     println!("binned pairs: {}", fmt_count(zeta.binned_pairs));
     println!("wall time (all threads): {}\n", fmt_secs(wall));
 
-    let breakdown = timer.breakdown();
-    let rows: Vec<Vec<String>> = breakdown
+    let mut stages = vec![("I/O", io_nanos)];
+    stages.extend(tree_stage_nanos(&obs));
+    let total: u64 = stages.iter().map(|&(_, nanos)| nanos).sum();
+    let frac = |nanos: u64| nanos as f64 / total.max(1) as f64;
+    let rows: Vec<Vec<String>> = stages
         .iter()
-        .map(|(stage, nanos, frac)| {
+        .map(|&(stage, nanos)| {
             vec![
-                stage.name().to_string(),
-                fmt_secs(*nanos as f64 / 1e9),
-                format!("{:.1}%", frac * 100.0),
+                stage.to_string(),
+                fmt_secs(nanos as f64 / 1e9),
+                format!("{:.1}%", frac(nanos) * 100.0),
             ]
         })
         .collect();
     print_table(&["stage", "cpu time", "fraction"], &rows);
 
-    let multipole_frac = timer.fraction(galactos_core::timing::Stage::Multipole);
+    let kernel_nanos = obs.registry.counter_value("engine.kernel_nanos");
     println!(
         "\nmultipole accumulation fraction: {:.1}%  (paper, Fig. 4: ~55% on the 225k node dataset;",
-        multipole_frac * 100.0
+        frac(kernel_nanos) * 100.0
     );
     println!("§5.4 cross-check put the same kernel at 58–61% on full-system nodes)");
-    let _ = ALL_STAGES;
+    if kernel_nanos == 0 {
+        eprintln!("FAIL: the multipole kernel stage recorded zero time");
+        std::process::exit(1);
+    }
 }

@@ -10,6 +10,7 @@ use galactos_bench::tables::{fmt_secs, print_table};
 use galactos_bench::BENCH_SEED;
 use galactos_core::config::{EngineConfig, Scheduling};
 use galactos_core::engine::Engine;
+use galactos_core::estimator::EstimatorChoice;
 use std::time::Instant;
 
 fn time_with_threads(engine: &Engine, catalog: &galactos_catalog::Catalog, threads: usize) -> f64 {
@@ -19,10 +20,7 @@ fn time_with_threads(engine: &Engine, catalog: &galactos_catalog::Catalog, threa
         .expect("pool");
     pool.install(|| {
         let t0 = Instant::now();
-        // Dynamic scheduling through the shared schedule driver — the
-        // paper's configuration for this figure ("OpenMP dynamic
-        // scheduling to allocate primaries to threads").
-        let z = engine.compute_with_scheduling(catalog, Scheduling::Dynamic);
+        let z = engine.compute(catalog);
         std::hint::black_box(z.binned_pairs);
         t0.elapsed().as_secs_f64()
     })
@@ -37,6 +35,12 @@ fn main() {
     let rmax = scaled_rmax(&catalog);
     let mut config = EngineConfig::paper_default(rmax);
     config.subtract_self_pairs = false;
+    // The tree engine, whatever GALACTOS_ESTIMATOR says, with dynamic
+    // scheduling through the shared schedule driver — the paper's
+    // configuration for this figure ("OpenMP dynamic scheduling to
+    // allocate primaries to threads").
+    config.estimator = EstimatorChoice::Tree;
+    config.scheduling = Scheduling::Dynamic;
     let engine = Engine::new(config);
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())

@@ -35,8 +35,8 @@ use galactos_bench::tables::{fmt_secs, print_table};
 use galactos_bench::BENCH_SEED;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::estimator::EstimatorChoice;
-use galactos_core::{AnisotropicZeta, GridConfig, GridTimings, RadialBins};
+use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
+use galactos_core::{AnisotropicZeta, GridConfig, ObsSession, RadialBins};
 use std::time::Instant;
 
 /// The convergence gate: tightest-mesh relative ζ difference.
@@ -111,21 +111,46 @@ fn rel_diff(got: &AnisotropicZeta, want: &AnisotropicZeta) -> f64 {
     got.max_difference(want) / want.max_abs().max(f64::MIN_POSITIVE)
 }
 
+/// A grid run's native stage breakdown, read from the `grid.*_nanos`
+/// counters of its obs session.
+#[derive(Clone, Copy)]
+struct GridStages {
+    paint_nanos: u64,
+    field_nanos: u64,
+    zeta_nanos: u64,
+    selfpair_nanos: u64,
+}
+
 struct TimedRun {
     secs: f64,
     zeta: AnisotropicZeta,
     /// Native stage breakdown — present on grid runs only.
-    timings: Option<GridTimings>,
+    stages: Option<GridStages>,
 }
 
+/// One timed compute. Grid runs go through an enabled obs session so
+/// their stage counters can be read back; tree runs stay uninstrumented.
 fn run_engine(config: &EngineConfig, catalog: &galactos_catalog::Catalog) -> TimedRun {
     let engine = Engine::new(config.clone());
+    let grid = engine.estimator_kind() == EstimatorKind::Grid;
+    let obs = if grid {
+        ObsSession::enabled()
+    } else {
+        ObsSession::disabled()
+    };
     let t = Instant::now();
-    let (zeta, timings) = engine.compute_with_grid_timings(catalog, None);
+    let zeta = engine.compute_observed(catalog, &obs);
+    let secs = t.elapsed().as_secs_f64();
+    let counter = |name| obs.registry.counter_value(name);
     TimedRun {
-        secs: t.elapsed().as_secs_f64(),
+        secs,
         zeta,
-        timings,
+        stages: grid.then(|| GridStages {
+            paint_nanos: counter("grid.paint_nanos"),
+            field_nanos: counter("grid.field_nanos"),
+            zeta_nanos: counter("grid.zeta_nanos"),
+            selfpair_nanos: counter("grid.selfpair_nanos"),
+        }),
     }
 }
 
@@ -134,7 +159,7 @@ fn secs(nanos: u64) -> f64 {
 }
 
 /// JSON object of a grid run's native stage breakdown.
-fn stages_json(t: &GridTimings) -> Json {
+fn stages_json(t: &GridStages) -> Json {
     Json::obj([
         ("paint_secs", Json::Num(secs(t.paint_nanos))),
         ("fft_secs", Json::Num(secs(t.field_nanos))),
@@ -171,8 +196,8 @@ fn main() {
         c.estimator = EstimatorChoice::Grid(GridConfig::with_mesh(mesh));
         let run = run_engine(&c, &cat);
         let diff = rel_diff(&run.zeta, &tree.zeta);
-        let timings = run.timings.expect("grid run reports stage timings");
-        convergence.push((mesh, run.secs, diff, timings));
+        let stages = run.stages.expect("grid run reports stage timings");
+        convergence.push((mesh, run.secs, diff, stages));
     }
     print_table(
         &[

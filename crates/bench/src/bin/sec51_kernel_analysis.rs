@@ -13,11 +13,12 @@ use galactos_bench::tables::{fmt_count, print_table};
 use galactos_bench::BENCH_SEED;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
+use galactos_core::estimator::EstimatorChoice;
 use galactos_core::flops::{
     arithmetic_intensity, kernel_flops_per_pair, total_flops_per_pair, working_set_bytes,
-    FlopCounter, TREE_FLOPS_PER_PAIR,
+    TREE_FLOPS_PER_PAIR,
 };
-use galactos_core::timing::{Stage, StageTimer};
+use galactos_core::ObsSession;
 use galactos_math::monomial::monomial_count;
 
 fn main() {
@@ -66,16 +67,18 @@ fn main() {
     let rmax = scaled_rmax(&catalog);
     let mut config = EngineConfig::paper_default(rmax);
     config.subtract_self_pairs = false;
+    config.estimator = EstimatorChoice::Tree;
     let engine = Engine::new(config);
-    let timer = StageTimer::new();
-    let flops = FlopCounter::new();
+    let obs = ObsSession::enabled();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap();
-    let zeta = pool.install(|| engine.compute_instrumented(&catalog, Some(&timer), Some(&flops)));
-    let kernel_secs = timer.get(Stage::Multipole) as f64 / 1e9;
-    let kernel_gf = flops.kernel_flops(10) as f64 / kernel_secs / 1e9;
+    let zeta = pool.install(|| engine.compute_observed(&catalog, &obs));
+    let kernel_secs = obs.registry.counter_value("engine.kernel_nanos") as f64 / 1e9;
+    let kernel_flops =
+        obs.registry.counter_value("engine.binned_pairs") * kernel_flops_per_pair(10);
+    let kernel_gf = kernel_flops as f64 / kernel_secs / 1e9;
     println!(
         "multipole kernel: {} pairs, {:.2} s -> {:.1} GF/s = {:.0}% of measured peak",
         fmt_count(zeta.binned_pairs),

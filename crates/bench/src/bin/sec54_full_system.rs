@@ -9,14 +9,26 @@
 
 use galactos_bench::datasets::{node_dataset, scaled_rmax};
 use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{tree_stage_nanos, BENCH_SEED};
 use galactos_core::config::{EngineConfig, Scheduling, TreePrecision};
 use galactos_core::engine::Engine;
+use galactos_core::estimator::EstimatorChoice;
 use galactos_core::flops::total_flops_per_pair;
-use galactos_core::timing::{Stage, StageTimer};
+use galactos_core::ObsSession;
 use galactos_domain::load::{pair_counts, LoadBalance};
 use galactos_domain::partition::DomainPlan;
 use std::time::Instant;
+
+/// The paper's full-system configuration: the tree engine (whatever
+/// GALACTOS_ESTIMATOR says) on the dynamic schedule, no self-pair
+/// subtraction.
+fn tree_config(rmax: f64) -> EngineConfig {
+    let mut config = EngineConfig::paper_default(rmax);
+    config.subtract_self_pairs = false;
+    config.estimator = EstimatorChoice::Tree;
+    config.scheduling = Scheduling::Dynamic;
+    config
+}
 
 fn main() {
     let n: usize = std::env::args()
@@ -36,17 +48,14 @@ fn main() {
         ("mixed (f32 tree)", TreePrecision::Mixed),
         ("double", TreePrecision::Double),
     ] {
-        let mut config = EngineConfig::paper_default(rmax);
-        config.subtract_self_pairs = false;
+        let mut config = tree_config(rmax);
         config.precision = precision;
         let engine = Engine::new(config);
         let mut best = f64::INFINITY;
         let mut pairs = 0;
         for _ in 0..2 {
             let t0 = Instant::now();
-            // Full-system runs use the paper's dynamic schedule,
-            // dispatched through the shared schedule driver.
-            let z = engine.compute_with_scheduling(&catalog, Scheduling::Dynamic);
+            let z = engine.compute(&catalog);
             best = best.min(t0.elapsed().as_secs_f64());
             pairs = z.binned_pairs;
         }
@@ -74,14 +83,14 @@ fn main() {
     );
 
     // --- kernel time fraction (paper: 58–61% on full-system nodes) ---
-    let mut config = EngineConfig::paper_default(rmax);
-    config.subtract_self_pairs = false;
-    let engine = Engine::new(config);
-    let timer = StageTimer::new();
-    engine.compute_instrumented(&catalog, Some(&timer), None);
+    let engine = Engine::new(tree_config(rmax));
+    let obs = ObsSession::enabled();
+    engine.compute_observed(&catalog, &obs);
+    let total: u64 = tree_stage_nanos(&obs).iter().map(|&(_, nanos)| nanos).sum();
+    let kernel = obs.registry.counter_value("engine.kernel_nanos");
     println!(
         "multipole kernel fraction of compute: {:.0}%  (paper: 58-61%)\n",
-        100.0 * timer.fraction(Stage::Multipole)
+        100.0 * kernel as f64 / total.max(1) as f64
     );
 
     // --- per-rank pair statistics on a 16-rank decomposition ---

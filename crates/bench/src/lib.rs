@@ -13,7 +13,9 @@
 //! * [`peak`] — an FMA micro-benchmark measuring the host's achievable
 //!   peak FLOP rate, the denominator of the paper's "39% of peak";
 //! * [`json`] — a minimal JSON builder for machine-readable outputs
-//!   like `perf_baseline`'s `BENCH_kernels.json`.
+//!   like `perf_baseline`'s `BENCH_kernels.json`;
+//! * [`tree_stage_nanos`] — the tree engine's Figure 4 stage breakdown
+//!   read back from an observed run.
 
 #![forbid(unsafe_code)]
 
@@ -26,3 +28,26 @@ pub mod tables;
 /// Standard random seed used by the benchmark binaries so runs are
 /// reproducible.
 pub const BENCH_SEED: u64 = 20170601;
+
+/// The tree engine's stage breakdown from a session an
+/// [`Engine::compute_observed`](galactos_core::Engine::compute_observed)
+/// run recorded into, in report order: the `engine/tree_build` span,
+/// then the `engine.{search,bin,kernel,assembly}_nanos` counters. Each
+/// entry is `(label, nanos)`.
+pub fn tree_stage_nanos(obs: &galactos_obs::ObsSession) -> [(&'static str, u64); 5] {
+    let tree_build = obs
+        .tracer
+        .finished()
+        .iter()
+        .filter(|s| s.path == "engine/tree_build")
+        .map(|s| s.duration_nanos())
+        .sum();
+    let counter = |name| obs.registry.counter_value(name);
+    [
+        ("k-d tree build", tree_build),
+        ("k-d tree search", counter("engine.search_nanos")),
+        ("rotation+binning", counter("engine.bin_nanos")),
+        ("multipole accumulation", counter("engine.kernel_nanos")),
+        ("a_lm & zeta assembly", counter("engine.assembly_nanos")),
+    ]
+}

@@ -23,14 +23,12 @@
 //! that is merged once at the end: "this approach ensures maximum
 //! independent work for each thread".
 
-use crate::config::{EngineConfig, Scheduling};
+use crate::config::EngineConfig;
 use crate::estimator::{EstimatorKind, ResolvedEstimator};
-use crate::flops::FlopCounter;
 use crate::kernel::{BackendKind, KernelBackend};
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
 use crate::scratch::ComputeScratch;
-use crate::timing::{Stage, StageTimer};
 use crate::traversal::{LeafInfo, TraversalKind, Tree};
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_math::monomial::MonomialBasis;
@@ -132,41 +130,25 @@ impl Engine {
     /// Compute the anisotropic 3PCF of a catalog (every galaxy acts as a
     /// primary; periodic boxes use minimum-image separations),
     /// dispatching to the resolved estimator — the tree traversal or
-    /// the FFT grid.
+    /// the FFT grid. [`Engine::compute_observed`] with a disabled
+    /// session: zero clock reads.
     pub fn compute(&self, catalog: &Catalog) -> AnisotropicZeta {
-        self.compute_instrumented(catalog, None, None)
-    }
-
-    /// [`Engine::compute`] with an explicit scheduling policy, ignoring
-    /// the configured one. Lets ablations compare schedules on one
-    /// engine instead of rebuilding the (ℓmax-sized) tables per run.
-    /// Always runs the tree path — primary scheduling is a traversal
-    /// concept with no grid counterpart.
-    pub fn compute_with_scheduling(
-        &self,
-        catalog: &Catalog,
-        scheduling: Scheduling,
-    ) -> AnisotropicZeta {
-        self.check_periodic(catalog);
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            scheduling,
-            None,
-            None,
-            None,
-        )
+        self.compute_observed(catalog, &ObsSession::disabled())
     }
 
     /// [`Engine::compute`] recording spans and metrics into an
-    /// [`ObsSession`]. Both estimator paths are covered: the tree path
-    /// emits an `engine` span with a `tree_build` child plus per-chunk
-    /// worker spans (one obs track per worker thread) carrying the
-    /// search/bin/kernel/assembly stage breakdown as aggregate slices;
-    /// the grid path emits a `grid` span with the native paint / fields
-    /// / contract / self-pair breakdown — the split the legacy
-    /// [`StageTimer`] mapping folds into Assembly.
+    /// [`ObsSession`]. Both estimator paths are covered:
+    ///
+    /// * the tree path emits an `engine` span with a `tree_build` child
+    ///   plus per-chunk worker spans (one obs track per worker thread)
+    ///   carrying the `search`/`bin`/`kernel`/`assembly` stage
+    ///   breakdown as aggregate slices, and totals it in the
+    ///   `engine.{search,bin,kernel,assembly}_nanos` counters next to
+    ///   the `engine.{chunks,binned_pairs,candidate_pairs}` work
+    ///   counts;
+    /// * the grid path emits a `grid` span under which `galactos-grid`
+    ///   records its `paint`/`fields`/`contract`/`selfpair` breakdown
+    ///   and the matching `grid.*_nanos` counters.
     ///
     /// With a disabled session this is exactly [`Engine::compute`]:
     /// zero clock reads, bit-identical results (test-pinned).
@@ -174,75 +156,10 @@ impl Engine {
         self.check_periodic(catalog);
         if let ResolvedEstimator::Grid(grid) = &self.estimator {
             let _g = obs.tracer.span("grid");
-            return self
-                .compute_grid_obs(catalog, grid, None, obs.is_enabled(), Some(obs))
-                .0;
+            return self.compute_grid(catalog, grid, obs);
         }
         let _g = obs.tracer.span("engine");
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            None,
-            None,
-            Some(obs),
-        )
-    }
-
-    /// [`Engine::compute`] with stage timing and FLOP counting. The
-    /// grid estimator maps its stages onto the timer (painting →
-    /// tree-build, kernels/FFTs → multipole, ζ contraction → assembly)
-    /// and leaves the FLOP counter untouched (it never enumerates
-    /// pairs).
-    pub fn compute_instrumented(
-        &self,
-        catalog: &Catalog,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-    ) -> AnisotropicZeta {
-        self.check_periodic(catalog);
-        if let ResolvedEstimator::Grid(grid) = &self.estimator {
-            return self.compute_grid_obs(catalog, grid, timer, false, None).0;
-        }
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            timer,
-            flops,
-            None,
-        )
-    }
-
-    /// [`Engine::compute_instrumented`] exposing the grid estimator's
-    /// native stage breakdown alongside the result. On the tree path
-    /// the second element is `None`; on the grid path it carries the
-    /// raw [`galactos_grid::GridTimings`] (paint / field / contraction
-    /// / self-pair nanos) that the [`StageTimer`] mapping aggregates.
-    pub fn compute_with_grid_timings(
-        &self,
-        catalog: &Catalog,
-        timer: Option<&StageTimer>,
-    ) -> (AnisotropicZeta, Option<galactos_grid::GridTimings>) {
-        self.check_periodic(catalog);
-        if let ResolvedEstimator::Grid(grid) = &self.estimator {
-            // The native breakdown was explicitly requested, so the
-            // grid run is always instrumented here.
-            let (zeta, timings) = self.compute_grid_obs(catalog, grid, timer, true, None);
-            return (zeta, Some(timings));
-        }
-        let zeta = self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            timer,
-            None,
-            None,
-        );
-        (zeta, None)
+        self.run(&catalog.galaxies, catalog.len(), catalog.periodic, obs)
     }
 
     fn check_periodic(&self, catalog: &Catalog) {
@@ -258,17 +175,6 @@ impl Engine {
         }
     }
 
-    /// Compute the *isotropic* multipoles of a catalog through the full
-    /// anisotropic machinery plus the addition-theorem compression —
-    /// "Galactos, a scalable algorithm and highly optimized
-    /// implementation for both the isotropic and anisotropic 3PCF"
-    /// (paper §3). Matches the independent Legendre baseline in
-    /// [`crate::isotropic`] (tests enforce it) while using the fast
-    /// monomial kernel.
-    pub fn compute_isotropic(&self, catalog: &Catalog) -> crate::result::IsotropicZeta {
-        self.compute(catalog).compress_isotropic()
-    }
-
     /// Compute with only the first `n_primaries` galaxies acting as
     /// primaries; the remainder participate as secondaries only. This is
     /// the per-rank entry point of the distributed pipeline ("ignoring
@@ -278,15 +184,7 @@ impl Engine {
     /// cannot represent.
     pub fn compute_subset(&self, galaxies: &[Galaxy], n_primaries: usize) -> AnisotropicZeta {
         assert!(n_primaries <= galaxies.len());
-        self.run(
-            galaxies,
-            n_primaries,
-            None,
-            self.config.scheduling,
-            None,
-            None,
-            None,
-        )
+        self.run(galaxies, n_primaries, None, &ObsSession::disabled())
     }
 
     /// The gridded estimator path: paint → FFT shell convolutions → ζ
@@ -297,14 +195,12 @@ impl Engine {
     /// uniform — the two geometric assumptions of the periodic
     /// convolution formulation. `binned_pairs` stays 0 on the result:
     /// the grid path never enumerates pairs.
-    fn compute_grid_obs(
+    fn compute_grid(
         &self,
         catalog: &Catalog,
         grid: &galactos_grid::GridConfig,
-        timer: Option<&StageTimer>,
-        want_native: bool,
-        obs: Option<&ObsSession>,
-    ) -> (AnisotropicZeta, galactos_grid::GridTimings) {
+        obs: &ObsSession,
+    ) -> AnisotropicZeta {
         assert!(
             catalog.periodic.is_some(),
             "the grid estimator requires a periodic catalog \
@@ -322,7 +218,7 @@ impl Engine {
         let rotation = (rotation != Mat3::IDENTITY).then_some(rotation);
         let bins = &self.config.bins;
         let mut zeta = AnisotropicZeta::zeros(self.config.lmax, bins.nbins());
-        let timings = galactos_grid::accumulate_zeta_multipoles(
+        galactos_grid::accumulate_zeta_multipoles(
             catalog,
             grid,
             self.config.lmax,
@@ -330,73 +226,35 @@ impl Engine {
             rotation,
             &|r| bins.bin_of(r),
             self.config.subtract_self_pairs,
-            // Zero-cost contract: clock reads happen only when some
-            // form of timing was actually requested.
-            timer.is_some() || want_native,
+            obs,
             &mut |l, lp, m, b1, b2, v| zeta.add_to(l, lp, m, b1, b2, v),
         );
         zeta.total_primary_weight = catalog.total_weight();
         zeta.num_primaries = catalog.len() as u64;
-        if let Some(t) = timer {
-            t.add(Stage::TreeBuild, timings.paint_nanos);
-            t.add(Stage::Multipole, timings.field_nanos);
-            // Assembly covers both the ζ contraction and the self-pair
-            // correction; the *native* four-way split stays recoverable
-            // through [`Engine::compute_with_grid_timings`] and the obs
-            // counters below.
-            t.add(Stage::Assembly, timings.zeta_nanos + timings.selfpair_nanos);
-        }
-        if let Some(o) = obs {
-            // Native breakdown as aggregate slices under the open grid
-            // span and as registry counters — nothing is folded.
-            o.tracer.add_aggregate("paint", 1, timings.paint_nanos);
-            o.tracer.add_aggregate("fields", 1, timings.field_nanos);
-            o.tracer.add_aggregate("contract", 1, timings.zeta_nanos);
-            o.tracer
-                .add_aggregate("selfpair", 1, timings.selfpair_nanos);
-            o.registry.add("grid.paint_nanos", timings.paint_nanos);
-            o.registry.add("grid.field_nanos", timings.field_nanos);
-            o.registry.add("grid.zeta_nanos", timings.zeta_nanos);
-            o.registry
-                .add("grid.selfpair_nanos", timings.selfpair_nanos);
-            o.registry.add("grid.primaries", catalog.len() as u64);
-        }
-        (zeta, timings)
+        zeta
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         galaxies: &[Galaxy],
         n_primaries: usize,
         periodic: Option<f64>,
-        scheduling: Scheduling,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-        obs: Option<&ObsSession>,
+        obs: &ObsSession,
     ) -> AnisotropicZeta {
-        let observing = obs.is_some_and(|o| o.is_enabled());
         let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
         let tree = {
-            let _g = obs.map(|o| o.tracer.span("tree_build"));
-            let t0 = now_if(timer.is_some());
-            let tree = Tree::build(&positions, self.config.precision);
-            if let Some(t) = timer {
-                t.add(Stage::TreeBuild, nanos_since(t0));
-            }
-            tree
+            let _g = obs.tracer.span("tree_build");
+            Tree::build(&positions, self.config.precision)
         };
 
-        // An enabled session needs the scratch nano counters even when
-        // no StageTimer was passed: the per-chunk stage aggregates are
-        // drained from them.
-        let instrument = timer.is_some() || observing;
+        // Only an enabled session turns on the scratch nano counters
+        // the per-chunk stage aggregates are drained from.
+        let instrument = obs.is_enabled();
         let make_state = || {
             let mut scratch = self.new_scratch();
             scratch.instrument = instrument;
             scratch
         };
-        let finish = |scratch| Self::finish_scratch(scratch, timer, flops);
         let merge = || Merge {
             zero: || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
             merge: |mut a: AnisotropicZeta, b| {
@@ -407,20 +265,18 @@ impl Engine {
 
         match self.traversal {
             TraversalKind::PerPrimary => schedule::run_partitioned(
-                scheduling,
+                self.config.scheduling,
                 n_primaries,
                 make_state,
                 |scratch, range| {
-                    let _g = obs.map(|o| o.tracer.span("chunk"));
+                    let _g = obs.tracer.span("chunk");
                     let n_items = range.len() as u64;
                     for i in range {
                         self.process_primary(scratch, galaxies, &tree, i, periodic);
                     }
-                    if let Some(o) = obs {
-                        Self::emit_chunk_obs(o, scratch, n_items);
-                    }
+                    Self::emit_chunk_obs(obs, scratch, n_items);
                 },
-                finish,
+                Self::finish_scratch,
                 merge(),
             ),
             // Leaf-blocked: the schedule partitions over *leaf blocks*,
@@ -431,11 +287,11 @@ impl Engine {
             TraversalKind::LeafBlocked => {
                 let leaves = tree.leaf_blocks();
                 schedule::run_partitioned(
-                    scheduling,
+                    self.config.scheduling,
                     leaves.len(),
                     make_state,
                     |scratch, range| {
-                        let _g = obs.map(|o| o.tracer.span("chunk"));
+                        let _g = obs.tracer.span("chunk");
                         let n_items = range.len() as u64;
                         for li in range {
                             self.process_leaf(
@@ -447,11 +303,9 @@ impl Engine {
                                 periodic,
                             );
                         }
-                        if let Some(o) = obs {
-                            Self::emit_chunk_obs(o, scratch, n_items);
-                        }
+                        Self::emit_chunk_obs(obs, scratch, n_items);
                     },
-                    finish,
+                    Self::finish_scratch,
                     merge(),
                 )
             }
@@ -460,15 +314,20 @@ impl Engine {
 
     /// Drain a finished chunk's scratch counters into the obs session:
     /// the four tree stages as aggregate slices under the open `chunk`
-    /// span (so the Chrome track shows the per-worker breakdown) and
-    /// the pair counters into the registry. Aggregates make zero clock
-    /// reads; with a disabled session every call here is a no-op.
+    /// span (so the Chrome track shows the per-worker breakdown) and as
+    /// `engine.*_nanos` registry counters, plus the pair counters.
+    /// Aggregates make zero clock reads; with a disabled session every
+    /// call here is a no-op.
     fn emit_chunk_obs(o: &ObsSession, scratch: &ComputeScratch, n_items: u64) {
-        o.tracer.add_aggregate("search", n_items, scratch.t_search);
-        o.tracer.add_aggregate("bin", n_items, scratch.t_bin);
-        o.tracer.add_aggregate("kernel", n_items, scratch.t_kernel);
-        o.tracer
-            .add_aggregate("assembly", n_items, scratch.t_assembly);
+        for (stage, counter, nanos) in [
+            ("search", "engine.search_nanos", scratch.t_search),
+            ("bin", "engine.bin_nanos", scratch.t_bin),
+            ("kernel", "engine.kernel_nanos", scratch.t_kernel),
+            ("assembly", "engine.assembly_nanos", scratch.t_assembly),
+        ] {
+            o.tracer.add_aggregate(stage, n_items, nanos);
+            o.registry.add(counter, nanos);
+        }
         o.registry.add("engine.chunks", 1);
         o.registry.add("engine.binned_pairs", scratch.binned_pairs);
         o.registry
@@ -482,22 +341,8 @@ impl Engine {
         ComputeScratch::new(&self.config, &self.basis, nmono2, self.backend)
     }
 
-    /// Drain a finished worker's instrumentation into the shared
-    /// collectors and return its ζ partial.
-    fn finish_scratch(
-        mut scratch: ComputeScratch,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-    ) -> AnisotropicZeta {
-        if let Some(t) = timer {
-            t.add(Stage::TreeSearch, scratch.t_search);
-            t.add(Stage::Binning, scratch.t_bin);
-            t.add(Stage::Multipole, scratch.t_kernel);
-            t.add(Stage::Assembly, scratch.t_assembly);
-        }
-        if let Some(f) = flops {
-            f.record(scratch.binned_pairs, scratch.candidate_pairs);
-        }
+    /// Return a finished worker's ζ partial.
+    fn finish_scratch(mut scratch: ComputeScratch) -> AnisotropicZeta {
         // Sole owner of the ζ-side pair counter (besides
         // [`ComputeScratch::partial`] for manual stage drivers): the
         // stage methods only bump the scratch-side counter.
@@ -862,7 +707,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, TreePrecision};
+    use crate::config::{EngineConfig, Scheduling, TreePrecision};
     use galactos_catalog::uniform_box;
     use galactos_math::LineOfSight;
 
@@ -972,19 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_override_matches_configured_scheduling() {
-        let cat = small_catalog(80, 10.0, 29);
-        let mut config = EngineConfig::test_default(5.0, 2, 3);
-        config.scheduling = Scheduling::Dynamic;
-        let engine = Engine::new(config.clone());
-        let via_override = engine.compute_with_scheduling(&cat, Scheduling::Static);
-        config.scheduling = Scheduling::Static;
-        let via_config = Engine::new(config).compute(&cat);
-        assert_eq!(via_override.max_difference(&via_config), 0.0);
-        assert_eq!(via_override.binned_pairs, via_config.binned_pairs);
-    }
-
-    #[test]
     fn subset_restricts_primaries() {
         let cat = small_catalog(60, 10.0, 13);
         let config = EngineConfig::test_default(5.0, 2, 2);
@@ -1032,18 +864,19 @@ mod tests {
         let cat = small_catalog(200, 10.0, 19);
         let config = EngineConfig::test_default(4.0, 3, 3);
         let engine = Engine::new(config);
-        let timer = StageTimer::new();
-        let flops = FlopCounter::new();
-        let z = engine.compute_instrumented(&cat, Some(&timer), Some(&flops));
-        assert!(timer.get(Stage::TreeBuild) > 0);
-        assert!(timer.get(Stage::Multipole) > 0);
-        assert_eq!(
-            flops
-                .binned_pairs
-                .load(std::sync::atomic::Ordering::Relaxed),
-            z.binned_pairs
-        );
-        assert!(flops.kernel_flops(3) > 0);
+        let obs = ObsSession::enabled();
+        let z = engine.compute_observed(&cat, &obs);
+        let tree_build = obs
+            .tracer
+            .finished()
+            .into_iter()
+            .find(|s| s.path == "engine/tree_build")
+            .expect("tree_build span recorded");
+        assert!(tree_build.duration_nanos() > 0);
+        assert!(obs.registry.counter_value("engine.kernel_nanos") > 0);
+        let binned = obs.registry.counter_value("engine.binned_pairs");
+        assert_eq!(binned, z.binned_pairs);
+        assert!(binned * crate::flops::kernel_flops_per_pair(3) > 0);
     }
 
     #[test]

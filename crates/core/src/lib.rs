@@ -17,7 +17,9 @@
 //!   hardware detection;
 //! * [`engine`] — the staged per-primary pipeline (gather →
 //!   bin/bucket → a_ℓm assembly → ζ accumulation), thread-parallel
-//!   over primaries (§3.3);
+//!   over primaries (§3.3), behind three entry points — `compute`,
+//!   `compute_observed` (stage spans and counters recorded into a
+//!   `galactos-obs` session) and the per-rank `compute_subset`;
 //! * [`estimator`] — the estimator-selection knob dispatching
 //!   [`Engine::compute`](engine::Engine::compute) between the tree
 //!   traversal and the FFT-based gridded a_ℓm estimator of
@@ -45,9 +47,8 @@
 //! * [`survey`] — the end-to-end cut-sky estimator: engine run over
 //!   data − randoms, window multipoles from the randoms, per-bin-pair
 //!   edge-correction solve, behind the [`SurveyCompute`] entry point;
-//! * [`flops`] — FLOP accounting reproducing the paper's §3.3.2/§5.1
+//! * [`flops`] — pure FLOP formulas reproducing the paper's §3.3.2/§5.1
 //!   arithmetic (286 monomials, 572 FLOPs/pair, flop/byte 9.6);
-//! * [`timing`] — stage timers for the Figure 4 runtime breakdown;
 //! * [`pipeline`] — the distributed run: partition, halo exchange,
 //!   per-rank compute, global reduction over `galactos-cluster`.
 
@@ -68,9 +69,7 @@ pub mod result;
 pub mod schedule;
 pub mod scratch;
 pub mod survey;
-pub mod timing;
 pub mod traversal;
-pub mod xismu;
 
 pub use bins::RadialBins;
 pub use config::{EngineConfig, Scheduling, TreePrecision};
@@ -78,7 +77,7 @@ pub use engine::Engine;
 pub use estimator::{
     recommended_estimator, EstimatorChoice, EstimatorKind, GRID_CROSSOVER_GALAXIES,
 };
-pub use galactos_grid::{GridConfig, GridTimings, MassAssignment};
+pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
 pub use kernel::{BackendChoice, BackendKind, KernelBackend};
 pub use pipeline::{

@@ -45,10 +45,10 @@ pub struct ComputeScratch {
     pub(crate) binned_pairs: u64,
     pub(crate) candidate_pairs: u64,
     /// Whether stage timings are being collected. When `false` (the
-    /// default — a run with no [`StageTimer`](crate::timing::
-    /// StageTimer)) the engine's stage methods skip every clock read,
-    /// so uninstrumented runs pay zero timing overhead on the hot
-    /// path; the `t_*` counters then stay 0.
+    /// default — any run without an enabled
+    /// [`ObsSession`](galactos_obs::ObsSession)) the engine's stage
+    /// methods skip every clock read, so uninstrumented runs pay zero
+    /// timing overhead on the hot path; the `t_*` counters then stay 0.
     pub(crate) instrument: bool,
     pub(crate) t_search: u64,
     pub(crate) t_bin: u64,
@@ -90,13 +90,6 @@ impl ComputeScratch {
             t_kernel: 0,
             t_assembly: 0,
         }
-    }
-
-    /// Enable (or disable) stage-timing collection for this worker.
-    /// Off by default: untimed runs perform no clock reads at all in
-    /// the per-pair and per-bucket hot paths.
-    pub fn set_instrumented(&mut self, on: bool) {
-        self.instrument = on;
     }
 
     /// Return the scratch to its freshly-constructed state (buffers

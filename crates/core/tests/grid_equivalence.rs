@@ -15,7 +15,7 @@ use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
-use galactos_core::{AnisotropicZeta, GridConfig, MassAssignment};
+use galactos_core::{AnisotropicZeta, GridConfig, MassAssignment, ObsSession};
 use galactos_math::Vec3;
 
 /// Relative difference metric shared with the bench gate: the largest
@@ -141,9 +141,9 @@ fn grid_requires_periodic_catalog() {
 
 #[test]
 fn subset_and_scheduling_entry_points_stay_on_the_tree() {
-    // The distributed/subset and scheduling-ablation entry points are
-    // documented tree-only: they must produce tree answers even on an
-    // engine configured for the grid.
+    // The distributed/subset entry point is documented tree-only: it
+    // must produce tree answers even on an engine configured for the
+    // grid.
     let cat = uniform_box(120, 10.0, 7);
     let mut config = EngineConfig::test_default(4.0, 2, 2);
     config.estimator = EstimatorChoice::Tree;
@@ -155,94 +155,93 @@ fn subset_and_scheduling_entry_points_stay_on_the_tree() {
     let got = grid_engine.compute_subset(&cat.galaxies, 40);
     assert_eq!(got.max_difference(&want), 0.0);
     assert_eq!(got.binned_pairs, want.binned_pairs);
-
-    let want = tree_engine.compute_with_scheduling(&cat, galactos_core::Scheduling::Static);
-    let got = grid_engine.compute_with_scheduling(&cat, galactos_core::Scheduling::Static);
-    assert_eq!(got.max_difference(&want), 0.0);
 }
+
+const GRID_STAGE_COUNTERS: [&str; 4] = [
+    "grid.paint_nanos",
+    "grid.field_nanos",
+    "grid.zeta_nanos",
+    "grid.selfpair_nanos",
+];
 
 #[test]
 fn grid_reports_zero_binned_pairs_and_stage_timings() {
-    // The grid path never enumerates pairs (documented), and the stage
-    // timer maps painting/FFT/contraction onto the existing stages.
-    use galactos_core::timing::{Stage, StageTimer};
+    // The grid path never enumerates pairs (documented), and an
+    // observed run times painting, the FFT fields and the contraction.
     let cat = uniform_box(300, 12.0, 99);
     let mut config = EngineConfig::test_default(4.0, 2, 2);
     config.estimator = EstimatorChoice::Grid(GridConfig::with_mesh(16));
     let engine = Engine::new(config);
-    let timer = StageTimer::new();
-    let zeta = engine.compute_instrumented(&cat, Some(&timer), None);
+    let obs = ObsSession::enabled();
+    let zeta = engine.compute_observed(&cat, &obs);
     assert_eq!(zeta.binned_pairs, 0);
     assert_eq!(zeta.num_primaries, 300);
-    assert!(timer.get(Stage::TreeBuild) > 0, "painting not timed");
-    assert!(timer.get(Stage::Multipole) > 0, "field stage not timed");
-    assert!(timer.get(Stage::Assembly) > 0, "zeta stage not timed");
+    let nanos = |name| obs.registry.counter_value(name);
+    assert!(nanos("grid.paint_nanos") > 0, "painting not timed");
+    assert!(nanos("grid.field_nanos") > 0, "field stage not timed");
+    assert!(nanos("grid.zeta_nanos") > 0, "zeta stage not timed");
 }
 
 #[test]
-fn grid_timings_map_exactly_onto_stage_timer() {
-    // The native GridTimings breakdown must reconcile with the
-    // StageTimer mapping *exactly*: paint → TreeBuild, fields →
-    // Multipole, contraction + self-pair correction → Assembly, with
-    // the self-pair cost reported on its own (not folded into
-    // zeta_nanos).
-    use galactos_core::timing::{Stage, StageTimer};
+fn grid_stage_counters_report_selfpair_separately() {
+    // The self-pair correction is timed on its own (not folded into
+    // the contraction), is zero when the correction is off, and a tree
+    // engine records no grid stage counters at all.
     let cat = uniform_box(300, 12.0, 99);
     let mut config = EngineConfig::test_default(4.0, 2, 2);
     config.subtract_self_pairs = true;
     config.estimator = EstimatorChoice::Grid(GridConfig::with_mesh(16));
-    let engine = Engine::new(config.clone());
-    let timer = StageTimer::new();
-    let (zeta, timings) = engine.compute_with_grid_timings(&cat, Some(&timer));
-    let timings = timings.expect("grid path must report native timings");
+    let obs = ObsSession::enabled();
+    let zeta = Engine::new(config.clone()).compute_observed(&cat, &obs);
     assert_eq!(zeta.binned_pairs, 0);
-    assert_eq!(timer.get(Stage::TreeBuild), timings.paint_nanos);
-    assert_eq!(timer.get(Stage::Multipole), timings.field_nanos);
-    assert_eq!(
-        timer.get(Stage::Assembly),
-        timings.zeta_nanos + timings.selfpair_nanos
-    );
-    assert!(
-        timings.selfpair_nanos > 0,
-        "self-pair correction ran but reported zero time"
-    );
-    assert!(timings.paint_nanos > 0 && timings.field_nanos > 0 && timings.zeta_nanos > 0);
+    for counter in GRID_STAGE_COUNTERS {
+        assert!(
+            obs.registry.counter_value(counter) > 0,
+            "{counter} not timed"
+        );
+    }
 
     // With the correction disabled the self-pair share must be zero.
     let mut no_sub = config.clone();
     no_sub.subtract_self_pairs = false;
-    let (_, t2) = Engine::new(no_sub).compute_with_grid_timings(&cat, None);
-    assert_eq!(t2.unwrap().selfpair_nanos, 0);
+    let obs = ObsSession::enabled();
+    Engine::new(no_sub).compute_observed(&cat, &obs);
+    assert_eq!(obs.registry.counter_value("grid.selfpair_nanos"), 0);
 
     // Tree path: the result matches the plain entry point and no grid
-    // timings are fabricated.
+    // stage counters are fabricated.
     config.estimator = EstimatorChoice::Tree;
     let tree_engine = Engine::new(config);
-    let (tree_zeta, none) = tree_engine.compute_with_grid_timings(&cat, None);
-    assert!(none.is_none());
+    let obs = ObsSession::enabled();
+    let tree_zeta = tree_engine.compute_observed(&cat, &obs);
+    for counter in GRID_STAGE_COUNTERS {
+        assert_eq!(obs.registry.counter_value(counter), 0, "{counter}");
+    }
     assert_eq!(tree_zeta.max_difference(&tree_engine.compute(&cat)), 0.0);
 }
 
 #[test]
 fn plain_compute_on_grid_path_is_uninstrumented_and_identical() {
-    // The zero-cost contract, end to end: `compute()` with no timer
-    // asks the grid estimator for no timings (no clock reads on the
-    // grid path — pinned at the estimator level by
-    // `uninstrumented_run_takes_no_timings_and_same_values`), while
-    // `compute_with_grid_timings` always instruments; both must
-    // produce bit-identical ζ.
+    // The zero-cost contract, end to end: `compute()` runs through a
+    // disabled session (no clock reads on the grid path — pinned by
+    // `zero_clock.rs` and, at the estimator level, by
+    // `uninstrumented_run_takes_no_timings_and_same_values`), while an
+    // enabled `compute_observed` times every stage; both must produce
+    // bit-identical ζ.
     let cat = uniform_box(300, 12.0, 99);
     let mut config = EngineConfig::test_default(4.0, 2, 2);
     config.subtract_self_pairs = true;
     config.estimator = EstimatorChoice::Grid(GridConfig::with_mesh(16));
     let engine = Engine::new(config);
     let plain = engine.compute(&cat);
-    let (timed, timings) = engine.compute_with_grid_timings(&cat, None);
-    let timings = timings.expect("grid path reports native timings on request");
-    assert!(
-        timings.paint_nanos > 0 && timings.field_nanos > 0 && timings.zeta_nanos > 0,
-        "explicitly requested native timings must be populated: {timings:?}"
-    );
+    let obs = ObsSession::enabled();
+    let timed = engine.compute_observed(&cat, &obs);
+    for counter in GRID_STAGE_COUNTERS {
+        assert!(
+            obs.registry.counter_value(counter) > 0,
+            "observed grid run must populate {counter}"
+        );
+    }
     assert_eq!(
         plain.max_difference(&timed),
         0.0,

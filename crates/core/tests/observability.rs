@@ -2,7 +2,7 @@
 //!
 //! An *enabled* session must (a) produce the documented span tree for
 //! both estimators, (b) report pair-count telemetry that agrees with
-//! the engine's own instrumented counters, and (c) — the contract that
+//! the returned result, and (c) — the contract that
 //! makes counters diffable PR over PR — produce **bit-identical counter
 //! totals on any thread pool**, because integer adds commute exactly.
 
@@ -109,10 +109,27 @@ fn counters_are_bit_stable_across_thread_pools() {
 
     for threads in POOLS {
         let obs = ObsSession::enabled();
-        with_pool(threads, || {
+        let zeta = with_pool(threads, || {
             Engine::new(config.clone()).compute_observed(&cat, &obs)
         });
         let got: Vec<u64> = keys.iter().map(|k| obs.registry.counter_value(k)).collect();
         assert_eq!(got, reference, "counter totals differ at threads={threads}");
+        // The chunk pair counts reconcile with the result.
+        assert_eq!(
+            obs.registry.counter_value("engine.binned_pairs"),
+            zeta.binned_pairs,
+            "engine.binned_pairs != zeta.binned_pairs at threads={threads}"
+        );
+        for stage in [
+            "engine.search_nanos",
+            "engine.bin_nanos",
+            "engine.kernel_nanos",
+            "engine.assembly_nanos",
+        ] {
+            assert!(
+                obs.registry.counter_value(stage) > 0,
+                "{stage} not timed at threads={threads}"
+            );
+        }
     }
 }

@@ -33,8 +33,9 @@
 //! harmonics through the shared monomial/`YlmTable` machinery, so both
 //! estimators agree convention-for-convention by construction.
 //!
-//! This crate deliberately depends only on `galactos-math` and
-//! `galactos-catalog`; `galactos-core` layers the `EstimatorChoice`
+//! This crate deliberately depends only on `galactos-math`,
+//! `galactos-catalog` and the `galactos-obs` session it records its
+//! stage breakdown into; `galactos-core` layers the `EstimatorChoice`
 //! dispatch and the `ZetaResult` assembly on top.
 
 #![forbid(unsafe_code)]
@@ -44,5 +45,5 @@ pub mod estimator;
 pub mod mesh;
 
 pub use assign::MassAssignment;
-pub use estimator::{accumulate_zeta_multipoles, GridConfig, GridTimings};
+pub use estimator::{accumulate_zeta_multipoles, GridConfig};
 pub use mesh::DensityMesh;

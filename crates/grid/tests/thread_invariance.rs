@@ -12,6 +12,7 @@
 
 use galactos_catalog::{uniform_box, Catalog};
 use galactos_grid::{accumulate_zeta_multipoles, DensityMesh, GridConfig, MassAssignment};
+use galactos_obs::ObsSession;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeMap;
 
@@ -102,7 +103,7 @@ fn zeta_map(
             None,
             &bin_of,
             true,
-            false,
+            &ObsSession::disabled(),
             // Diagonal (b, b) keys are emitted twice — contraction,
             // then the self-pair subtraction — so collect emissions in
             // arrival order per key.

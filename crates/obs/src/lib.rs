@@ -1,11 +1,10 @@
 //! # galactos-obs — unified metrics and tracing
 //!
 //! The paper's headline result is a throughput claim (5.06 PF/s
-//! sustained on Cori), yet measuring a whole Galactos run used to mean
-//! stitching together three ad-hoc mechanisms: `StageTimer` in
-//! `galactos-core`, `GridTimings` in the grid estimator, and hand-rolled
-//! per-bin JSON in `galactos-bench`. This crate is the single substrate
-//! all of them now sit on:
+//! sustained on Cori). This crate is the single substrate every layer
+//! records that measurement into — the tree engine's and the grid
+//! estimator's stage breakdowns, the supervised pipeline and the
+//! ensemble runner:
 //!
 //! * [`Registry`] — named, atomics-backed [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s. Integer adds commute exactly, so every
@@ -24,9 +23,9 @@
 //! `ComputeScratch.instrument` gate: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
 //! the workspace funnels through [`clock`] — the one module sanctioned
-//! by galactos-lint's W-CLOCK rule outside `crates/bench` and
-//! `core::timing` — and each real read bumps a global counter that
-//! tests use to pin "uninstrumented ⇒ zero reads".
+//! by galactos-lint's W-CLOCK rule outside `crates/bench` — and each
+//! real read bumps a global counter that tests use to pin
+//! "uninstrumented ⇒ zero reads".
 //!
 //! ```
 //! use galactos_obs::ObsSession;
