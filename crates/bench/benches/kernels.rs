@@ -4,8 +4,8 @@
 //!   paper's parameters (ℓmax = 10, bucket 128): the vectorization win
 //!   of §3.3.2.
 //! * `residual_sweep` — the end-of-primary sweep of ragged bucket
-//!   tails, per backend: where the batched backend's cross-bucket
-//!   chunks pay off.
+//!   tails, per backend: simd pays one mostly-empty lane chunk per
+//!   bin here, its worst case against scalar.
 //! * `bucketing` — one 128-pair flush vs 128 single-pair flushes: the
 //!   pre-binning win of §3.3.1.
 //! * `alm_strategies` — monomial-schedule a_ℓm assembly vs direct
@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use galactos_core::kernel::scalar::accumulate_bucket_scalar;
 use galactos_core::kernel::simd::accumulate_bucket_simd;
 use galactos_core::kernel::testutil::random_bucket;
-use galactos_core::kernel::{BackendKind, PairBuckets};
+use galactos_core::kernel::{BackendKind, KernelAccumulator, PairBuckets};
 use galactos_kdtree::{BruteForce, KdTree, TreeConfig};
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::sphharm::ylm_all_cartesian;
@@ -73,9 +73,8 @@ fn bench_multipole_kernel(c: &mut Criterion) {
 
 fn bench_residual_sweep(c: &mut Criterion) {
     // The end-of-primary shape: 10 bins, each holding a small ragged
-    // tail (3 pairs), flushed through flush_residual + finish. The
-    // batched backend pools the tails into cross-bucket lane chunks;
-    // simd pays one mostly-empty chunk per bin.
+    // tail (3 pairs), flushed through flush_residual: simd pays one
+    // mostly-empty chunk per bin.
     let basis = MonomialBasis::new(10);
     let nbins = 10;
     let tail = 3;
@@ -85,7 +84,7 @@ fn bench_residual_sweep(c: &mut Criterion) {
 
     for kind in BackendKind::ALL {
         group.bench_function(BenchmarkId::new("tails_3x10bins", kind.name()), |b| {
-            let mut acc = kind.backend().new_accumulator(nbins, basis.len());
+            let mut acc = KernelAccumulator::new(kind, nbins, basis.len());
             let mut buckets = PairBuckets::new(nbins, 128);
             b.iter(|| {
                 acc.reset();
@@ -96,7 +95,6 @@ fn bench_residual_sweep(c: &mut Criterion) {
                     }
                 }
                 acc.flush_residual(black_box(basis.schedule()), &mut buckets);
-                acc.finish(basis.schedule());
             });
         });
     }

@@ -16,10 +16,7 @@ use galactos_core::flops::{arithmetic_intensity, working_set_bytes};
 use std::time::Instant;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25_000);
+    let n: usize = galactos_bench::size_arg(25_000);
     let catalog = node_dataset(n, true, BENCH_SEED);
     let rmax = scaled_rmax(&catalog);
     println!(

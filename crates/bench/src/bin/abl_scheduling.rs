@@ -39,10 +39,7 @@ fn time_schedule(
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25_000);
+    let n: usize = galactos_bench::size_arg(25_000);
     let mut rows = Vec::new();
     for (label, clustered) in [("uniform", false), ("clustered", true)] {
         let catalog = node_dataset(n, clustered, BENCH_SEED);

@@ -10,10 +10,7 @@ use galactos_bench::BENCH_SEED;
 use std::io::Write;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000);
+    let n: usize = galactos_bench::size_arg(30_000);
     let catalog = node_dataset(n, true, BENCH_SEED);
     let ext = catalog.bounds.extent();
     println!(

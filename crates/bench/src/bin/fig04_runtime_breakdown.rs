@@ -17,10 +17,7 @@ use galactos_core::ObsSession;
 use std::time::Instant;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000);
+    let n: usize = galactos_bench::size_arg(30_000);
 
     // "I/O": catalog creation + a round-trip through the binary format.
     let t0 = Instant::now();

@@ -27,10 +27,7 @@ fn time_with_threads(engine: &Engine, catalog: &galactos_catalog::Catalog, threa
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000); // the paper's Figure 5 dataset size
+    let n: usize = galactos_bench::size_arg(10_000); // the paper's Figure 5 dataset size
     let catalog = node_dataset(n, true, BENCH_SEED);
     let rmax = scaled_rmax(&catalog);
     let mut config = EngineConfig::paper_default(rmax);

@@ -19,10 +19,7 @@ use galactos_mocks::scaled::{
 use std::time::Instant;
 
 fn main() {
-    let per_rank: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4_000.0);
+    let per_rank: f64 = galactos_bench::size_arg(4_000.0);
     let rank_counts = [4usize, 8, 16, 32, 64, 128];
     let rmax_frac = 0.2; // Rmax as a fraction of the smallest box
 

@@ -16,10 +16,7 @@ use galactos_mocks::scaled::{
 };
 
 fn main() {
-    let n: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000.0);
+    let n: f64 = galactos_bench::size_arg(40_000.0);
     let ds = scaled_dataset(1, n, OUTER_RIM_DENSITY);
     let mut cat = generate_scaled_catalog(&ds, 1.0, MockKind::Clustered, BENCH_SEED);
     cat.periodic = None;

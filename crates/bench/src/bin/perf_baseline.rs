@@ -16,6 +16,10 @@
 //!    vs leaf-blocked traversal, recording the speedup and the
 //!    cross-mode equivalence.
 //!
+//! A `host` block records what the numbers were measured on: the
+//! target architecture, the vector features the binary was compiled
+//! with, the thread-pool width and the backend [`detect`] resolves to.
+//!
 //! Every backend is checked against the scalar reference while being
 //! timed, and leaf-blocked traversal against per-primary (1e-9
 //! relative — the modes bin identical pairs in different order); the
@@ -33,7 +37,7 @@ use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::flops::kernel_flops_per_pair;
 use galactos_core::kernel::testutil::{max_rel_diff, random_binned_stream};
-use galactos_core::kernel::{BackendChoice, BackendKind, PairBuckets};
+use galactos_core::kernel::{detect, BackendChoice, BackendKind, KernelAccumulator, PairBuckets};
 use galactos_core::schedule::{self, Merge};
 use galactos_core::traversal::{TraversalChoice, TraversalKind};
 use galactos_core::Scheduling;
@@ -127,7 +131,7 @@ struct RunResult {
 
 /// Drive an engine-style bucket stream through one backend: per
 /// primary, push every pair through [`PairBuckets`] (flushing full
-/// buckets), sweep the residuals, finish, and reduce every bin —
+/// buckets), sweep the residuals, and reduce every bin —
 /// exactly the call sequence of the engine's bin-and-bucket stage plus
 /// the a_ℓm stage's reduction. Returns the best (minimum) wall seconds
 /// over `reps` repetitions — the standard noise-resistant estimate on a
@@ -145,7 +149,7 @@ fn drive_stream(
     let (dx, dy, dz, w, bins) = stream;
     let nmono = basis.len();
     let schedule = basis.schedule();
-    let mut acc = kind.backend().new_accumulator(NBINS, nmono);
+    let mut acc = KernelAccumulator::new(kind, NBINS, nmono);
     let mut buckets = PairBuckets::new(NBINS, bucket);
     let mut totals = vec![0.0; NBINS * nmono];
     let mut reduced = vec![0.0; nmono];
@@ -165,7 +169,6 @@ fn drive_stream(
                 }
             }
             acc.flush_residual(schedule, &mut buckets);
-            acc.finish(schedule);
             for b in 0..NBINS {
                 acc.reduce_bin(b, &mut reduced);
                 // Totals only on the first rep so the equivalence check
@@ -240,7 +243,7 @@ fn run_threaded(params: &Params) -> (Vec<RunResult>, usize) {
             primaries,
             || {
                 (
-                    kind.backend().new_accumulator(NBINS, nmono),
+                    KernelAccumulator::new(kind, NBINS, nmono),
                     PairBuckets::new(NBINS, bucket),
                     vec![0.0; NBINS * nmono],
                     vec![0.0; nmono],
@@ -259,7 +262,6 @@ fn run_threaded(params: &Params) -> (Vec<RunResult>, usize) {
                         }
                     }
                     acc.flush_residual(schedule, buckets);
-                    acc.finish(schedule);
                     for b in 0..NBINS {
                         acc.reduce_bin(b, reduced);
                         let slot = &mut totals[b * nmono..(b + 1) * nmono];
@@ -431,6 +433,20 @@ fn run_traversal(params: &Params) -> (Vec<TraversalResult>, usize, f64, usize) {
     (results, catalog.len(), rmax, config.lmax)
 }
 
+/// The build and pool the numbers were measured with. Target features
+/// are the compiled-in ones (`-C target-cpu`/`-C target-feature`), not
+/// what the CPU could run: they are what the kernels were built for.
+fn host_json(threads: usize) -> Json {
+    Json::obj([
+        ("target_arch", Json::str(std::env::consts::ARCH)),
+        ("avx2", Json::Bool(cfg!(target_feature = "avx2"))),
+        ("fma", Json::Bool(cfg!(target_feature = "fma"))),
+        ("avx512f", Json::Bool(cfg!(target_feature = "avx512f"))),
+        ("pool_threads", Json::Int(threads as u64)),
+        ("detected_backend", Json::str(detect().name())),
+    ])
+}
+
 fn run_json(r: &RunResult) -> Json {
     Json::obj([
         ("backend", Json::str(r.backend.name())),
@@ -559,6 +575,7 @@ fn main() {
             Json::str(if params.smoke { "smoke" } else { "full" }),
         ),
         ("seed", Json::Int(BENCH_SEED)),
+        ("host", host_json(threads)),
         ("threads", Json::Int(threads as u64)),
         ("nbins", Json::Int(NBINS as u64)),
         ("equivalence_tol", Json::Num(EQUIV_TOL)),

@@ -18,10 +18,7 @@ use galactos_math::{LineOfSight, Vec3};
 use std::time::Instant;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let n: usize = galactos_bench::size_arg(20_000);
     // Survey-like geometry: a shell, as in the SE15 test dataset.
     let survey = SurveyGeometry::full_shell(Vec3::ZERO, 60.0, 140.0);
     let catalog = survey.sample_randoms(n, BENCH_SEED);

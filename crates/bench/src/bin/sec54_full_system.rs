@@ -31,10 +31,7 @@ fn tree_config(rmax: f64) -> EngineConfig {
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
+    let n: usize = galactos_bench::size_arg(40_000);
     let catalog = node_dataset(n, true, BENCH_SEED);
     let rmax = scaled_rmax(&catalog);
     println!(

@@ -11,8 +11,9 @@
 //!
 //! As a correctness gate for CI, the full
 //! [`galactos_core::pipeline::compute_distributed_sharded`] run is
-//! compared against the single-process engine; the process exits
-//! nonzero beyond 1e-9 relative, and likewise if any rank's resident
+//! compared against the single-process engine: the JSON's
+//! `equivalence_ok` verdict is false and the process exits nonzero
+//! beyond 1e-9 relative; it also exits nonzero if any rank's resident
 //! galaxies reach the full catalog size for multi-rank runs.
 //!
 //! Usage: `sharded_ingest [--smoke] [--out PATH]`
@@ -112,6 +113,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut runs = Vec::new();
     let mut failed = false;
+    let mut equivalence_ok = true;
     for &ranks in &params.rank_counts {
         // Per-rank ingestion, timed one rank at a time so the numbers
         // are attributable.
@@ -150,6 +152,7 @@ fn main() {
         let diff = dist.zeta.max_difference(&single) / scale;
         if diff > EQUIV_TOL {
             eprintln!("FAIL: ranks {ranks} sharded vs single rel diff {diff:.3e}");
+            equivalence_ok = false;
             failed = true;
         }
 
@@ -186,6 +189,7 @@ fn main() {
     );
 
     let doc = Json::obj([
+        ("schema", Json::str("galactos/bench-sharded-ingest/v1")),
         (
             "mode",
             Json::str(if params.smoke { "smoke" } else { "full" }),
@@ -197,6 +201,8 @@ fn main() {
         ("nbins", Json::Int(params.nbins as u64)),
         ("catalog_bytes", Json::Int(catalog_bytes)),
         ("shard_write_secs", Json::Num(write_secs)),
+        ("equivalence_tol", Json::Num(EQUIV_TOL)),
+        ("equivalence_ok", Json::Bool(equivalence_ok)),
         ("runs", Json::Arr(runs)),
     ]);
     std::fs::write(&params.out, doc.to_pretty()).expect("write JSON output");

@@ -55,22 +55,22 @@ pub struct EngineConfig {
     /// `r₁ = r₂` bins so that ζ counts only genuine triangles.
     pub subtract_self_pairs: bool,
     /// Which a_ℓm accumulation kernel runs — the hottest code in the
-    /// engine. [`BackendChoice::Auto`] (the default) honors the
-    /// `GALACTOS_KERNEL_BACKEND` environment variable (`scalar`,
-    /// `simd`, `batched`) and otherwise picks by hardware detection;
-    /// `BackendChoice::Fixed(kind)` pins a specific backend, which is
-    /// how benchmarks and equivalence tests compare them. Resolved once
-    /// at [`Engine::new`](crate::engine::Engine::new). All backends
-    /// produce results equal to the scalar reference up to
-    /// floating-point reassociation (≲ 1e-11 relative; enforced by
-    /// tests and CI's bench-smoke job).
+    /// engine. [`BackendChoice::Auto`] (the default) runs the paper's
+    /// SIMD kernel on vector targets and the scalar reference
+    /// elsewhere ([`detect`](crate::kernel::detect));
+    /// `BackendChoice::Fixed(kind)` pins one, which is how benchmarks
+    /// and equivalence tests compare the SIMD kernel against the
+    /// scalar reference. Resolved once at
+    /// [`Engine::new`](crate::engine::Engine::new). Both backends
+    /// produce results equal up to floating-point reassociation
+    /// (≲ 1e-11 relative; enforced by tests and CI's bench-smoke job).
     pub kernel_backend: BackendChoice,
     /// How secondaries are found for each primary — one tree descent
     /// per primary, or the paper's §3.2 node-to-node walk gathering
     /// candidates once per primary *leaf* into a SoA block.
-    /// [`TraversalChoice::Auto`] (the default) honors the
-    /// `GALACTOS_TRAVERSAL` environment variable (`per-primary`,
-    /// `leaf-blocked`) and otherwise picks the measured-fastest mode;
+    /// [`TraversalChoice::Auto`] (the default) picks the
+    /// measured-fastest mode ([`detect_traversal`](
+    /// crate::traversal::detect_traversal));
     /// `TraversalChoice::Fixed(kind)` pins one, which is how the
     /// benchmark and equivalence tests compare them. Resolved once at
     /// [`Engine::new`](crate::engine::Engine::new). Both modes bin

@@ -25,7 +25,7 @@
 
 use crate::config::EngineConfig;
 use crate::estimator::{EstimatorKind, ResolvedEstimator};
-use crate::kernel::{BackendKind, KernelBackend};
+use crate::kernel::BackendKind;
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
 use crate::scratch::ComputeScratch;
@@ -50,8 +50,8 @@ pub struct Engine {
     ylm: YlmTable,
     /// The kernel backend every worker accumulates with — the
     /// configured [`BackendChoice`](crate::kernel::BackendChoice)
-    /// resolved once (environment consulted here, not per worker).
-    backend: &'static dyn KernelBackend,
+    /// resolved once, not per worker.
+    backend: BackendKind,
     /// The traversal mode every run uses — the configured
     /// [`TraversalChoice`](crate::traversal::TraversalChoice) resolved
     /// once, like the backend.
@@ -82,7 +82,7 @@ impl Engine {
         config.validate();
         let basis = MonomialBasis::new(config.lmax);
         let ylm = YlmTable::new(config.lmax, &basis);
-        let backend = config.kernel_backend.resolve().backend();
+        let backend = config.kernel_backend.resolve();
         let traversal = config.traversal.resolve();
         let estimator = config.estimator.resolve();
         let (self_basis, self_table) = if config.subtract_self_pairs {
@@ -112,7 +112,7 @@ impl Engine {
     /// The kernel backend this engine resolved at construction.
     #[inline]
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        self.backend
     }
 
     /// The traversal mode this engine resolved at construction.
@@ -460,8 +460,8 @@ impl Engine {
         }
     }
 
-    /// Sweep partially filled buckets, complete deferred accumulation,
-    /// and fold the primary's counters/timings into the scratch.
+    /// Sweep partially filled buckets and fold the primary's
+    /// counters/timings into the scratch.
     fn end_binning(
         &self,
         scratch: &mut ComputeScratch,
@@ -469,14 +469,10 @@ impl Engine {
         mut kernel_nanos: u64,
         binned: u64,
     ) {
-        // Final sweep of partially filled buckets, then complete any
-        // accumulation the backend deferred (the batched backend pools
-        // the sweep's ragged tails and drains them across buckets here).
         let tk = now_if(scratch.instrument);
         scratch
             .acc
             .flush_residual(self.basis.schedule(), &mut scratch.buckets);
-        scratch.acc.finish(self.basis.schedule());
         kernel_nanos += nanos_since(tk);
         scratch.binned_pairs += binned;
         scratch.t_kernel += kernel_nanos;
@@ -636,10 +632,6 @@ impl Engine {
     /// accumulator and assemble the shell coefficients `a_ℓm`.
     fn assemble_alm(&self, scratch: &mut ComputeScratch) {
         let t2 = now_if(scratch.instrument);
-        // Guard for callers driving stages by hand: reduction must not
-        // observe accumulation a backend is still deferring. A no-op
-        // (idempotent) after the bin-and-bucket stage's own finish.
-        scratch.acc.finish(self.basis.schedule());
         let nbins = self.config.bins.nbins();
         let nmono = self.basis.len();
         let nlm = lm_count(self.config.lmax);
@@ -763,24 +755,22 @@ mod tests {
         use crate::kernel::BackendChoice;
         let cat = small_catalog(120, 12.0, 7);
         let mut config = EngineConfig::test_default(6.0, 4, 4);
-        // Small bucket so every backend sees full flushes AND ragged
-        // tails (and the batched backend real cross-bucket chunks).
+        // Small bucket so both backends see full flushes AND ragged
+        // tails.
         config.bucket_size = 12;
         config.kernel_backend = BackendChoice::Fixed(BackendKind::Scalar);
         let scalar = Engine::new(config.clone()).compute(&cat);
-        for kind in [BackendKind::Simd, BackendKind::BatchedSimd] {
-            config.kernel_backend = BackendChoice::Fixed(kind);
-            let engine = Engine::new(config.clone());
-            assert_eq!(engine.backend_kind(), kind);
-            let got = engine.compute(&cat);
-            let scale = scalar.max_abs().max(1.0);
-            assert!(
-                got.max_difference(&scalar) < 1e-9 * scale,
-                "{kind:?} diff {}",
-                got.max_difference(&scalar)
-            );
-            assert_eq!(got.binned_pairs, scalar.binned_pairs);
-        }
+        config.kernel_backend = BackendChoice::Fixed(BackendKind::Simd);
+        let engine = Engine::new(config);
+        assert_eq!(engine.backend_kind(), BackendKind::Simd);
+        let got = engine.compute(&cat);
+        let scale = scalar.max_abs().max(1.0);
+        assert!(
+            got.max_difference(&scalar) < 1e-9 * scale,
+            "simd diff {}",
+            got.max_difference(&scalar)
+        );
+        assert_eq!(got.binned_pairs, scalar.binned_pairs);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   bench's convergence gate). Requires a periodic catalog and a
 //!   uniform (fixed) line of sight.
 //!
-//! Selection mirrors the kernel-backend and traversal patterns:
-//! [`EstimatorChoice`] on the config, an [`ESTIMATOR_ENV`] override
-//! (`tree`, `grid`, or `grid:<mesh>`), and a [`detect_estimator`]
-//! default — resolved once at [`Engine::new`](crate::engine::Engine::new).
+//! Selection is [`EstimatorChoice`] on the config, an [`ESTIMATOR_ENV`]
+//! override (`tree`, `grid`, or `grid:<mesh>`; the workspace's only
+//! environment knob), and a [`detect_estimator`] default — resolved
+//! once at [`Engine::new`](crate::engine::Engine::new), like the
+//! kernel backend and the traversal mode.
 
 use galactos_grid::GridConfig;
 use std::fmt;

@@ -1,23 +1,19 @@
 //! Unified accumulator over the kernel backends.
 //!
-//! [`KernelAccumulator`] is the per-worker accumulation state a
-//! [`KernelBackend`](crate::kernel::backend::KernelBackend) constructs.
-//! It is an enum, not a trait object, so the per-bucket hot path stays
-//! statically dispatched; the backend trait is only consulted at
-//! worker-state construction time.
+//! [`KernelAccumulator`] is the per-worker accumulation state of one
+//! [`BackendKind`]. It is an enum, not a trait object, so the
+//! per-bucket hot path stays statically dispatched.
 
 use crate::kernel::backend::BackendKind;
-use crate::kernel::batched::{accumulate_tails, drain_staged_tails, load_tail, TailStaging};
 use crate::kernel::buckets::PairBuckets;
 use crate::kernel::scalar::accumulate_bucket_scalar;
 use crate::kernel::simd::accumulate_bucket_simd;
 use galactos_math::monomial::UpdateStep;
-use galactos_simd::{F64x8, F64_LANES, ILP_BATCHES};
+use galactos_simd::{F64x8, ILP_BATCHES};
 
 /// Per-(bin, monomial) accumulation state for one thread: 8-lane
-/// vectors with a deferred reduction (the paper's layout), the same
-/// plus a cross-bucket tail staging area, or plain scalar sums (the
-/// reference path).
+/// vectors with a deferred reduction (the paper's layout) or plain
+/// scalar sums (the reference path).
 #[derive(Clone, Debug)]
 pub enum KernelAccumulator {
     Simd {
@@ -26,18 +22,6 @@ pub enum KernelAccumulator {
         /// `lanes[bin * nmono + mono]`
         lanes: Vec<F64x8>,
         scratch: Vec<F64x8>,
-    },
-    /// The SIMD layout plus a [`TailStaging`] buffer: ragged bucket
-    /// tails are deferred and drained across bucket boundaries
-    /// ([`crate::kernel::batched`]). Callers must [`finish`](
-    /// KernelAccumulator::finish) before reducing.
-    Batched {
-        nbins: usize,
-        nmono: usize,
-        /// `lanes[bin * nmono + mono]`
-        lanes: Vec<F64x8>,
-        scratch: Vec<F64x8>,
-        staging: TailStaging,
     },
     Scalar {
         nbins: usize,
@@ -49,40 +33,30 @@ pub enum KernelAccumulator {
 }
 
 impl KernelAccumulator {
-    pub fn new_simd(nbins: usize, nmono: usize) -> Self {
-        KernelAccumulator::Simd {
-            nbins,
-            nmono,
-            lanes: vec![F64x8::ZERO; nbins * nmono],
-            scratch: vec![F64x8::ZERO; ILP_BATCHES * nmono],
+    /// Allocate `kind`'s accumulation state for `nbins` radial bins and
+    /// `nmono` monomials.
+    pub fn new(kind: BackendKind, nbins: usize, nmono: usize) -> Self {
+        match kind {
+            BackendKind::Simd => KernelAccumulator::Simd {
+                nbins,
+                nmono,
+                lanes: vec![F64x8::ZERO; nbins * nmono],
+                scratch: vec![F64x8::ZERO; ILP_BATCHES * nmono],
+            },
+            BackendKind::Scalar => KernelAccumulator::Scalar {
+                nbins,
+                nmono,
+                sums: vec![0.0; nbins * nmono],
+                scratch: vec![0.0; nmono],
+            },
         }
     }
 
-    pub fn new_batched(nbins: usize, nmono: usize) -> Self {
-        KernelAccumulator::Batched {
-            nbins,
-            nmono,
-            lanes: vec![F64x8::ZERO; nbins * nmono],
-            scratch: vec![F64x8::ZERO; ILP_BATCHES * nmono],
-            staging: TailStaging::new(),
-        }
-    }
-
-    pub fn new_scalar(nbins: usize, nmono: usize) -> Self {
-        KernelAccumulator::Scalar {
-            nbins,
-            nmono,
-            sums: vec![0.0; nbins * nmono],
-            scratch: vec![0.0; nmono],
-        }
-    }
-
-    /// Which backend produced this accumulator.
+    /// Which backend this accumulator belongs to.
     #[inline]
     pub fn kind(&self) -> BackendKind {
         match self {
             KernelAccumulator::Simd { .. } => BackendKind::Simd,
-            KernelAccumulator::Batched { .. } => BackendKind::BatchedSimd,
             KernelAccumulator::Scalar { .. } => BackendKind::Scalar,
         }
     }
@@ -91,7 +65,6 @@ impl KernelAccumulator {
     pub fn nmono(&self) -> usize {
         match self {
             KernelAccumulator::Simd { nmono, .. } => *nmono,
-            KernelAccumulator::Batched { nmono, .. } => *nmono,
             KernelAccumulator::Scalar { nmono, .. } => *nmono,
         }
     }
@@ -102,10 +75,6 @@ impl KernelAccumulator {
             KernelAccumulator::Simd { lanes, .. } => {
                 lanes.iter_mut().for_each(|v| *v = F64x8::ZERO);
             }
-            KernelAccumulator::Batched { lanes, staging, .. } => {
-                lanes.iter_mut().for_each(|v| *v = F64x8::ZERO);
-                staging.clear();
-            }
             KernelAccumulator::Scalar { sums, .. } => {
                 sums.iter_mut().for_each(|v| *v = 0.0);
             }
@@ -113,11 +82,6 @@ impl KernelAccumulator {
     }
 
     /// Flush one bucket of pairs into `bin`'s accumulators.
-    ///
-    /// The scalar and SIMD backends accumulate immediately; the batched
-    /// backend accumulates the lane-aligned prefix immediately and
-    /// stages the ragged tail for a later cross-bucket drain (forced
-    /// here only if the staging area is full).
     pub fn flush_bucket(
         &mut self,
         schedule: &[UpdateStep],
@@ -137,41 +101,6 @@ impl KernelAccumulator {
                 let acc = &mut lanes[bin * *nmono..(bin + 1) * *nmono];
                 accumulate_bucket_simd(schedule, dx, dy, dz, w, scratch, acc);
             }
-            KernelAccumulator::Batched {
-                nmono,
-                lanes,
-                scratch,
-                staging,
-                ..
-            } => {
-                let nmono = *nmono;
-                let aligned = dx.len() - dx.len() % F64_LANES;
-                if aligned > 0 {
-                    let acc = &mut lanes[bin * nmono..(bin + 1) * nmono];
-                    accumulate_bucket_simd(
-                        schedule,
-                        &dx[..aligned],
-                        &dy[..aligned],
-                        &dz[..aligned],
-                        &w[..aligned],
-                        scratch,
-                        acc,
-                    );
-                }
-                if aligned < dx.len() {
-                    let tail = dx.len() - aligned;
-                    if staging.remaining() < tail {
-                        drain_staged_tails(schedule, staging, scratch, lanes, nmono);
-                    }
-                    staging.push_tail(
-                        bin,
-                        &dx[aligned..],
-                        &dy[aligned..],
-                        &dz[aligned..],
-                        &w[aligned..],
-                    );
-                }
-            }
             KernelAccumulator::Scalar {
                 nmono,
                 sums,
@@ -187,67 +116,7 @@ impl KernelAccumulator {
     /// Flush every non-empty (typically partially filled) bucket — the
     /// end-of-primary sweep: "the buckets are swept once more, as they
     /// likely are only partially filled". All buckets are cleared.
-    ///
-    /// For the batched backend this is where the cross-bucket win
-    /// lands: after each bucket's lane-aligned prefix, the ragged tails
-    /// are accumulated [`ILP_BATCHES`] buckets per group kernel call —
-    /// independent monomial chains in flight, loaded straight from the
-    /// bucket SoA with no staging copy — instead of one serial padded
-    /// chunk per bin.
     pub fn flush_residual(&mut self, schedule: &[UpdateStep], buckets: &mut PairBuckets) {
-        if let KernelAccumulator::Batched {
-            nmono,
-            lanes,
-            scratch,
-            ..
-        } = self
-        {
-            let nmono = *nmono;
-            // Pass 1: each bucket's lane-aligned prefix through the
-            // aligned kernel.
-            for bin in 0..buckets.nbins() {
-                if buckets.is_empty(bin) {
-                    continue;
-                }
-                let (dx, dy, dz, w) = buckets.slices(bin);
-                let aligned = dx.len() - dx.len() % F64_LANES;
-                if aligned > 0 {
-                    let acc = &mut lanes[bin * nmono..(bin + 1) * nmono];
-                    accumulate_bucket_simd(
-                        schedule,
-                        &dx[..aligned],
-                        &dy[..aligned],
-                        &dz[..aligned],
-                        &w[..aligned],
-                        scratch,
-                        acc,
-                    );
-                }
-            }
-            // Pass 2: the ragged tails, ILP_BATCHES buckets per group
-            // kernel call, loaded straight from the bucket SoA.
-            accumulate_tails(
-                schedule,
-                (0..buckets.nbins()).filter_map(|bin| {
-                    let (dx, dy, dz, w) = buckets.slices(bin);
-                    let aligned = dx.len() - dx.len() % F64_LANES;
-                    (aligned < dx.len()).then(|| {
-                        load_tail(
-                            bin,
-                            &dx[aligned..],
-                            &dy[aligned..],
-                            &dz[aligned..],
-                            &w[aligned..],
-                        )
-                    })
-                }),
-                scratch,
-                lanes,
-                nmono,
-            );
-            buckets.clear_all();
-            return;
-        }
         for bin in 0..buckets.nbins() {
             if buckets.is_empty(bin) {
                 continue;
@@ -260,49 +129,11 @@ impl KernelAccumulator {
         }
     }
 
-    /// Complete all deferred accumulation so that [`reduce_bin`](
-    /// KernelAccumulator::reduce_bin) sees every flushed pair. A no-op
-    /// for the scalar and SIMD backends; the batched backend drains its
-    /// tail staging. Idempotent.
-    pub fn finish(&mut self, schedule: &[UpdateStep]) {
-        if let KernelAccumulator::Batched {
-            nmono,
-            lanes,
-            scratch,
-            staging,
-            ..
-        } = self
-        {
-            if !staging.is_empty() {
-                drain_staged_tails(schedule, staging, scratch, lanes, *nmono);
-            }
-        }
-    }
-
     /// Reduce a bin's accumulators into plain sums — the single deferred
     /// reduction per multipole of §3.3.2.
     pub fn reduce_bin(&self, bin: usize, out: &mut [f64]) {
         match self {
             KernelAccumulator::Simd { nmono, lanes, .. } => {
-                debug_assert_eq!(out.len(), *nmono);
-                let acc = &lanes[bin * *nmono..(bin + 1) * *nmono];
-                for (o, v) in out.iter_mut().zip(acc.iter()) {
-                    *o = v.horizontal_sum();
-                }
-            }
-            KernelAccumulator::Batched {
-                nmono,
-                lanes,
-                staging,
-                ..
-            } => {
-                // Hard assert: reducing past staged tails would
-                // silently drop up to 7 pairs per stale tail, and the
-                // bool check is nothing next to the reductions below.
-                assert!(
-                    staging.is_empty(),
-                    "reduce_bin with staged tails — call finish() first"
-                );
                 debug_assert_eq!(out.len(), *nmono);
                 let acc = &lanes[bin * *nmono..(bin + 1) * *nmono];
                 for (o, v) in out.iter_mut().zip(acc.iter()) {
@@ -334,12 +165,11 @@ mod tests {
 
         let mut accs: Vec<KernelAccumulator> = BackendKind::ALL
             .iter()
-            .map(|k| k.backend().new_accumulator(2, nmono))
+            .map(|&k| KernelAccumulator::new(k, 2, nmono))
             .collect();
         for acc in &mut accs {
             acc.flush_bucket(basis.schedule(), 1, &dx, &dy, &dz, &w);
             acc.flush_bucket(basis.schedule(), 0, &dx[..2], &dy[..2], &dz[..2], &w[..2]);
-            acc.finish(basis.schedule());
         }
         let mut reference = vec![0.0; nmono];
         let mut got = vec![0.0; nmono];
@@ -377,21 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_staging_overflow_drains_mid_primary() {
-        // Many tiny ragged flushes into few bins: total staged tails far
-        // exceed STAGING_PAIRS, forcing in-flush drains.
-        check_backend_stream_vs_scalar(BackendKind::BatchedSimd, 3, 2, 3, 2000, 5, 1e-11);
-    }
-
-    #[test]
     fn reset_zeroes_state_for_all_backends() {
         let basis = MonomialBasis::new(3);
         let nmono = basis.len();
         for kind in BackendKind::ALL {
-            let mut acc = kind.backend().new_accumulator(1, nmono);
+            let mut acc = KernelAccumulator::new(kind, 1, nmono);
             acc.flush_bucket(basis.schedule(), 0, &[0.5], &[0.5], &[0.707], &[1.0]);
             acc.reset();
-            acc.finish(basis.schedule());
             let mut out = vec![1.0; nmono];
             acc.reduce_bin(0, &mut out);
             assert!(out.iter().all(|&v| v == 0.0), "{kind:?}");
@@ -399,18 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn finish_is_idempotent() {
-        let basis = MonomialBasis::new(3);
-        let nmono = basis.len();
-        let mut acc = KernelAccumulator::new_batched(1, nmono);
-        acc.flush_bucket(basis.schedule(), 0, &[0.6], &[0.0], &[0.8], &[1.5]);
-        acc.finish(basis.schedule());
-        let mut once = vec![0.0; nmono];
-        acc.reduce_bin(0, &mut once);
-        acc.finish(basis.schedule());
-        let mut twice = vec![0.0; nmono];
-        acc.reduce_bin(0, &mut twice);
-        assert_eq!(once, twice);
+    fn new_reports_its_kind_and_shape() {
+        for kind in BackendKind::ALL {
+            let acc = KernelAccumulator::new(kind, 2, 4);
+            assert_eq!(acc.kind(), kind);
+            assert_eq!(acc.nmono(), 4);
+        }
     }
 
     #[test]
@@ -418,12 +234,11 @@ mod tests {
         let basis = MonomialBasis::new(2);
         let nmono = basis.len();
         for kind in BackendKind::ALL {
-            let mut acc = kind.backend().new_accumulator(3, nmono);
+            let mut acc = KernelAccumulator::new(kind, 3, nmono);
             let mut buckets = PairBuckets::new(3, 8);
             buckets.push(0, 1.0, 0.0, 0.0, 1.0);
             buckets.push(2, 0.0, 0.0, 1.0, 2.0);
             acc.flush_residual(basis.schedule(), &mut buckets);
-            acc.finish(basis.schedule());
             assert_eq!(buckets.non_empty_bins().count(), 0, "{kind:?}");
             let mut out = vec![0.0; nmono];
             acc.reduce_bin(0, &mut out);

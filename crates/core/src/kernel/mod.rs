@@ -17,15 +17,12 @@
 //! * **Scalar reference** ([`scalar`]): the same arithmetic one lane
 //!   wide; tests require bit-level-close agreement, and the
 //!   vectorization ablation benchmarks the two against each other.
-//! * **Cross-bucket batching** ([`batched`]): ragged bucket tails are
-//!   staged with their bin ids and accumulated many buckets per call,
-//!   lane-width chunks spanning bucket boundaries, so the
-//!   end-of-primary sweep stops paying one padded vector chunk per bin.
-//! * **Runtime dispatch** ([`backend`]): the three implementations
-//!   behind one [`KernelBackend`] trait, selected per engine via
-//!   [`EngineConfig`](crate::config::EngineConfig), the
-//!   `GALACTOS_KERNEL_BACKEND` environment variable, or hardware
-//!   detection.
+//! * **Selection** ([`backend`]): [`BackendKind`] names the two
+//!   implementations and [`KernelAccumulator::new`] builds a worker's
+//!   state for one; the engine resolves its
+//!   [`EngineConfig`](crate::config::EngineConfig) choice once, to the
+//!   SIMD kernel on vector targets unless a test or benchmark pins the
+//!   scalar reference.
 //!
 //! [`testutil`] carries the deterministic input generators and
 //! against-scalar checkers shared by every backend's tests and the
@@ -33,12 +30,11 @@
 
 pub mod accumulator;
 pub mod backend;
-pub mod batched;
 pub mod buckets;
 pub mod scalar;
 pub mod simd;
 pub mod testutil;
 
 pub use accumulator::KernelAccumulator;
-pub use backend::{detect, BackendChoice, BackendKind, KernelBackend, BACKEND_ENV};
+pub use backend::{detect, BackendChoice, BackendKind};
 pub use buckets::PairBuckets;

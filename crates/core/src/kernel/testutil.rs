@@ -11,7 +11,7 @@
 
 use crate::kernel::backend::BackendKind;
 use crate::kernel::scalar::accumulate_bucket_scalar;
-use crate::kernel::PairBuckets;
+use crate::kernel::{KernelAccumulator, PairBuckets};
 use galactos_math::monomial::{MonomialBasis, UpdateStep};
 
 /// Minimal deterministic 64-bit generator (Steele et al.'s SplitMix64),
@@ -126,9 +126,8 @@ pub fn check_backend_vs_scalar(kind: BackendKind, lmax: usize, n: usize, seed: u
     let (dx, dy, dz, w) = random_bucket(n, seed);
     let want = scalar_bucket_sums(basis.schedule(), &dx, &dy, &dz, &w);
 
-    let mut acc = kind.backend().new_accumulator(1, nmono);
+    let mut acc = KernelAccumulator::new(kind, 1, nmono);
     acc.flush_bucket(basis.schedule(), 0, &dx, &dy, &dz, &w);
-    acc.finish(basis.schedule());
     let mut got = vec![0.0; nmono];
     acc.reduce_bin(0, &mut got);
     for i in 0..nmono {
@@ -143,10 +142,9 @@ pub fn check_backend_vs_scalar(kind: BackendKind, lmax: usize, n: usize, seed: u
 
 /// Push a random binned pair stream through `PairBuckets` + an
 /// accumulator of `kind` exactly the way the engine's bin-and-bucket
-/// stage does (flush on full, residual sweep, finish), and assert every
-/// bin's monomial sums match a scalar per-bin reference to relative
-/// `tol`. Exercises full-bucket flushes, ragged tails, and (for the
-/// batched backend) lane chunks spanning bucket boundaries.
+/// stage does (flush on full, then the residual sweep), and assert
+/// every bin's monomial sums match a scalar per-bin reference to
+/// relative `tol`. Exercises full-bucket flushes and ragged tails.
 pub fn check_backend_stream_vs_scalar(
     kind: BackendKind,
     lmax: usize,
@@ -176,7 +174,7 @@ pub fn check_backend_stream_vs_scalar(
         );
     }
 
-    let mut acc = kind.backend().new_accumulator(nbins, nmono);
+    let mut acc = KernelAccumulator::new(kind, nbins, nmono);
     let mut buckets = PairBuckets::new(nbins, bucket_capacity);
     for p in 0..n_pairs {
         let b = bins[p] as usize;
@@ -187,7 +185,6 @@ pub fn check_backend_stream_vs_scalar(
         }
     }
     acc.flush_residual(basis.schedule(), &mut buckets);
-    acc.finish(basis.schedule());
 
     let mut got = vec![0.0; nmono];
     for b in 0..nbins {

@@ -79,7 +79,7 @@ pub use estimator::{
 };
 pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
-pub use kernel::{BackendChoice, BackendKind, KernelBackend};
+pub use kernel::{BackendChoice, BackendKind};
 pub use pipeline::{
     compute_distributed, compute_distributed_sharded, compute_distributed_supervised,
     compute_distributed_supervised_observed, NoSleep, RankReport, RetryPolicy, Sleeper,

@@ -13,12 +13,12 @@
 //!
 //! Worker state is whatever the caller builds — for the engine it is a
 //! [`ComputeScratch`](crate::scratch::ComputeScratch) whose kernel
-//! accumulator comes from the engine's resolved
-//! [`KernelBackend`](crate::kernel::KernelBackend) (resolution happens
-//! once, before the parallel region, so workers never consult the
-//! environment). The `perf_baseline` benchmark drives bare backend
-//! accumulators through the same driver to measure multi-thread kernel
-//! throughput without the rest of the engine.
+//! accumulator is built for the engine's resolved
+//! [`BackendKind`](crate::kernel::BackendKind) (resolution happens
+//! once, before the parallel region). The `perf_baseline` benchmark
+//! drives bare backend accumulators through the same driver to
+//! measure multi-thread kernel throughput without the rest of the
+//! engine.
 
 use crate::config::Scheduling;
 use rayon::prelude::*;

@@ -14,7 +14,7 @@
 //! (or reuse scratch across engine calls) can avoid reallocation.
 
 use crate::config::EngineConfig;
-use crate::kernel::{BackendKind, KernelAccumulator, KernelBackend, PairBuckets};
+use crate::kernel::{BackendKind, KernelAccumulator, PairBuckets};
 use crate::result::AnisotropicZeta;
 use crate::traversal::CandidateBlock;
 use galactos_math::monomial::MonomialBasis;
@@ -59,19 +59,19 @@ pub struct ComputeScratch {
 impl ComputeScratch {
     /// Allocate scratch sized for `config`, with monomial counts taken
     /// from the engine's bases (`nmono2` = 0 when self-pair subtraction
-    /// is off) and the kernel accumulation state built by `backend` —
-    /// the engine resolves its configured [`BackendChoice`](
+    /// is off) and the kernel accumulation state of `backend` — the
+    /// engine resolves its configured [`BackendChoice`](
     /// crate::kernel::BackendChoice) once at construction and passes
-    /// the resolved backend here for every worker.
+    /// the resolved kind here for every worker.
     pub(crate) fn new(
         config: &EngineConfig,
         basis: &MonomialBasis,
         nmono2: usize,
-        backend: &dyn KernelBackend,
+        backend: BackendKind,
     ) -> Self {
         let nbins = config.bins.nbins();
         let nmono = basis.len();
-        let acc = backend.new_accumulator(nbins, nmono);
+        let acc = KernelAccumulator::new(backend, nbins, nmono);
         ComputeScratch {
             neighbors: Vec::with_capacity(1024),
             block: CandidateBlock::new(),

@@ -42,9 +42,8 @@
 //! differently; no such coincidence exists in the committed test or
 //! benchmark catalogs, and a flip would shift ζ well below the
 //! equivalence tolerance. Selection mirrors the
-//! kernel-backend pattern: [`TraversalChoice`] on the config, a
-//! [`TRAVERSAL_ENV`] override, and a measured [`detect_traversal`]
-//! default.
+//! kernel-backend pattern: [`TraversalChoice`] on the config, resolved
+//! to a measured [`detect_traversal`] default unless pinned.
 
 mod block;
 
@@ -55,13 +54,6 @@ use crate::config::TreePrecision;
 use galactos_kdtree::{KdTree, TreeConfig};
 use galactos_math::Vec3;
 use std::fmt;
-use std::str::FromStr;
-
-/// Environment variable consulted by [`TraversalChoice::Auto`]:
-/// `per-primary` or `leaf-blocked` (case-insensitive; underscores
-/// accepted, as is the short alias `blocked`). Unparsable values fall
-/// back to [`detect_traversal`].
-pub const TRAVERSAL_ENV: &str = "GALACTOS_TRAVERSAL";
 
 /// The closed set of traversal implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -77,7 +69,7 @@ impl TraversalKind {
     /// Every mode, reference first (the order benchmark tables use).
     pub const ALL: [TraversalKind; 2] = [TraversalKind::PerPrimary, TraversalKind::LeafBlocked];
 
-    /// Stable lowercase name, also the accepted [`TRAVERSAL_ENV`] value.
+    /// Stable lowercase name (for reports and JSON).
     pub fn name(self) -> &'static str {
         match self {
             TraversalKind::PerPrimary => "per-primary",
@@ -92,35 +84,6 @@ impl fmt::Display for TraversalKind {
     }
 }
 
-/// Error returned when a traversal name cannot be parsed; lists the
-/// accepted values.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseTraversalError(String);
-
-impl fmt::Display for ParseTraversalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown traversal mode {:?} (expected one of: per-primary, leaf-blocked)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseTraversalError {}
-
-impl FromStr for TraversalKind {
-    type Err = ParseTraversalError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().replace('_', "-").as_str() {
-            "per-primary" | "perprimary" => Ok(TraversalKind::PerPrimary),
-            "leaf-blocked" | "leafblocked" | "blocked" => Ok(TraversalKind::LeafBlocked),
-            _ => Err(ParseTraversalError(s.to_string())),
-        }
-    }
-}
-
 /// Pick the traversal expected to be fastest.
 ///
 /// Leaf blocking amortizes one pruned tree walk over a whole leaf of
@@ -130,53 +93,32 @@ impl FromStr for TraversalKind {
 /// committed baseline host at the paper point (ℓmax 10, 10 bins, 50k
 /// clustered galaxies), and `BENCH_kernels.json` tracks that ranking
 /// PR over PR. There is currently no measured configuration where
-/// per-primary wins, so detection is unconditional; the env override
-/// and [`TraversalChoice::Fixed`] exist for A/B timing and for ruling
-/// traversal in or out when debugging.
+/// per-primary wins, so detection is unconditional;
+/// [`TraversalChoice::Fixed`] pins per-primary as the reference for
+/// equivalence tests and A/B timing.
 pub fn detect_traversal() -> TraversalKind {
     TraversalKind::LeafBlocked
 }
 
 /// Traversal selection as configured on [`EngineConfig`](
 /// crate::config::EngineConfig), mirroring the kernel-backend pattern.
-///
-/// Resolution order: a [`Fixed`](TraversalChoice::Fixed) choice always
-/// wins; [`Auto`](TraversalChoice::Auto) consults the [`TRAVERSAL_ENV`]
-/// environment variable, then falls back to [`detect_traversal`].
-/// Resolution happens once, at [`Engine::new`](
-/// crate::engine::Engine::new) — not per worker or per call.
+/// Resolved once, at [`Engine::new`](crate::engine::Engine::new) — not
+/// per worker or per call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraversalChoice {
-    /// Environment override if set and valid, else [`detect_traversal`].
+    /// Whatever [`detect_traversal`] picks.
     #[default]
     Auto,
-    /// Always this mode, ignoring environment and detection.
+    /// Always this mode.
     Fixed(TraversalKind),
 }
 
 impl TraversalChoice {
-    /// Resolve against the process environment. A [`Fixed`](
-    /// TraversalChoice::Fixed) choice never touches the environment;
-    /// only [`Auto`](TraversalChoice::Auto) reads [`TRAVERSAL_ENV`].
+    /// The traversal mode this choice runs.
     pub fn resolve(self) -> TraversalKind {
         match self {
             TraversalChoice::Fixed(kind) => kind,
-            TraversalChoice::Auto => {
-                self.resolve_with(std::env::var(TRAVERSAL_ENV).ok().as_deref())
-            }
-        }
-    }
-
-    /// Resolution with an explicit environment value, so the fallback
-    /// order is testable without mutating process state. `None` means
-    /// the variable is unset; unparsable values fall back to
-    /// [`detect_traversal`].
-    pub fn resolve_with(self, env: Option<&str>) -> TraversalKind {
-        match self {
-            TraversalChoice::Fixed(kind) => kind,
-            TraversalChoice::Auto => env
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(detect_traversal),
+            TraversalChoice::Auto => detect_traversal(),
         }
     }
 }
@@ -324,41 +266,21 @@ mod tests {
     }
 
     #[test]
-    fn traversal_names_parse_back_to_themselves() {
+    fn traversal_names_are_stable_and_displayed() {
+        assert_eq!(TraversalKind::PerPrimary.name(), "per-primary");
+        assert_eq!(TraversalKind::LeafBlocked.name(), "leaf-blocked");
         for kind in TraversalKind::ALL {
-            assert_eq!(kind.name().parse::<TraversalKind>().unwrap(), kind);
             assert_eq!(format!("{kind}"), kind.name());
         }
-        for s in ["LEAF_BLOCKED", "blocked", " leaf-blocked "] {
-            assert_eq!(
-                s.parse::<TraversalKind>().unwrap(),
-                TraversalKind::LeafBlocked
-            );
-        }
-        let err = "quadtree".parse::<TraversalKind>().unwrap_err();
-        assert!(err.to_string().contains("quadtree"));
-        assert!(err.to_string().contains("per-primary"));
     }
 
     #[test]
-    fn traversal_resolution_order_is_env_then_detect() {
-        let auto = TraversalChoice::Auto;
-        assert_eq!(
-            auto.resolve_with(Some("per-primary")),
-            TraversalKind::PerPrimary
-        );
-        assert_eq!(
-            auto.resolve_with(Some("leaf-blocked")),
-            TraversalKind::LeafBlocked
-        );
-        assert_eq!(auto.resolve_with(None), detect_traversal());
-        assert_eq!(auto.resolve_with(Some("bogus")), detect_traversal());
-        let fixed = TraversalChoice::Fixed(TraversalKind::PerPrimary);
-        assert_eq!(
-            fixed.resolve_with(Some("leaf-blocked")),
-            TraversalKind::PerPrimary
-        );
+    fn traversal_resolution_is_fixed_else_detect() {
         assert_eq!(TraversalChoice::default(), TraversalChoice::Auto);
+        assert_eq!(TraversalChoice::Auto.resolve(), detect_traversal());
+        for kind in TraversalKind::ALL {
+            assert_eq!(TraversalChoice::Fixed(kind).resolve(), kind);
+        }
     }
 
     #[test]

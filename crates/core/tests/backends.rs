@@ -1,6 +1,6 @@
 //! Engine-level kernel-backend selection and equivalence tests: the
-//! runtime dispatch chain (config → environment → detection) observed
-//! through a real [`Engine`], and cross-backend agreement of the full
+//! configured backend observed through a real [`Engine`], and
+//! agreement of the SIMD kernel with the scalar reference over the full
 //! ζ computation on a small catalog.
 
 use galactos_catalog::uniform_box;
@@ -10,8 +10,7 @@ use galactos_core::kernel::{BackendChoice, BackendKind};
 
 fn config(lmax: usize) -> EngineConfig {
     let mut c = EngineConfig::test_default(6.0, lmax, 4);
-    // Ragged bucket size: full flushes and tails for every backend,
-    // cross-bucket chunks for the batched one.
+    // Ragged bucket size: full flushes and tails for both backends.
     c.bucket_size = 11;
     c
 }
@@ -50,10 +49,6 @@ fn all_backends_produce_identical_zeta() {
     }
 }
 
-// The env-override resolution chain lives in `tests/backend_env.rs` —
-// its own process — because `std::env::set_var` is process-global and
-// must not race the engines constructed by the tests here.
-
 #[test]
 fn backends_agree_with_radial_line_of_sight() {
     // Rotations on: separations are rotated per primary before they hit
@@ -68,14 +63,13 @@ fn backends_agree_with_radial_line_of_sight() {
 
     cfg.kernel_backend = BackendChoice::Fixed(BackendKind::Scalar);
     let reference = Engine::new(cfg.clone()).compute(&cat);
-    for kind in [BackendKind::Simd, BackendKind::BatchedSimd] {
-        cfg.kernel_backend = BackendChoice::Fixed(kind);
-        let zeta = Engine::new(cfg.clone()).compute(&cat);
-        let scale = reference.max_abs().max(1.0);
-        assert!(
-            zeta.max_difference(&reference) < 1e-10 * scale,
-            "{kind:?}: diff {}",
-            zeta.max_difference(&reference)
-        );
-    }
+    cfg.kernel_backend = BackendChoice::Fixed(BackendKind::Simd);
+    let zeta = Engine::new(cfg).compute(&cat);
+    let scale = reference.max_abs().max(1.0);
+    assert!(
+        zeta.max_difference(&reference) < 1e-10 * scale,
+        "simd: diff {}",
+        zeta.max_difference(&reference)
+    );
+    assert_eq!(zeta.binned_pairs, reference.binned_pairs);
 }

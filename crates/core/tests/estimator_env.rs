@@ -1,7 +1,6 @@
 //! The `GALACTOS_ESTIMATOR` resolution chain through a real engine.
 //! Environment mutation is process-global, so this lives in its own
-//! integration-test binary (its own process), mirroring
-//! `backend_env.rs` and `traversal_env.rs`: the single test below is
+//! integration-test binary (its own process): the single test below is
 //! the only code running when the variable changes, which keeps
 //! `set_var` safe even at the libc level.
 
@@ -12,8 +11,7 @@ use galactos_core::GridConfig;
 
 /// The full `Auto` chain: env override wins when valid (including the
 /// `grid:<mesh>` form), garbage falls back to detection, pinned
-/// choices never read the environment — the same precedence rules as
-/// `GALACTOS_KERNEL_BACKEND` and `GALACTOS_TRAVERSAL`.
+/// choices never read the environment.
 #[test]
 fn auto_resolution_follows_env_then_detect() {
     let mut cfg = EngineConfig::test_default(6.0, 2, 3);

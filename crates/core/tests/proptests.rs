@@ -57,7 +57,7 @@ proptest! {
         lmax in 0usize..5,
         nbins in 1usize..4,
         bucket in 1usize..40,
-        backend_idx in 0usize..3,
+        backend_idx in 0usize..BackendKind::ALL.len(),
         traversal_idx in 0usize..2,
     ) {
         let backend = BackendKind::ALL[backend_idx];

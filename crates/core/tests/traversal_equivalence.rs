@@ -176,14 +176,8 @@ fn degenerate_catalogs_agree() {
 #[test]
 fn blocked_is_the_measured_default() {
     // Auto resolves to the measured-fastest mode (leaf-blocked; see
-    // detect_traversal and the perf_baseline traversal section) unless
-    // the environment overrides it.
-    assert_eq!(
-        TraversalChoice::Auto.resolve_with(None),
-        TraversalKind::LeafBlocked
-    );
-    assert_eq!(
-        TraversalChoice::Auto.resolve_with(Some("per-primary")),
-        TraversalKind::PerPrimary
-    );
+    // detect_traversal and the perf_baseline traversal section).
+    assert_eq!(TraversalChoice::Auto.resolve(), TraversalKind::LeafBlocked);
+    let engine = Engine::new(EngineConfig::test_default(3.0, 2, 2));
+    assert_eq!(engine.traversal_kind(), TraversalKind::LeafBlocked);
 }

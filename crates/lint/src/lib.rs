@@ -15,7 +15,7 @@
 //! |------|----------|
 //! | `W-UNSAFE` | every `unsafe` fn/block/impl carries a `SAFETY` justification **and** matches the committed [`registry::REGISTRY_FILE`] |
 //! | `W-CLOCK` | `Instant::now` only in `crates/bench`, `obs::clock`, tests/examples, or instrument-gated code |
-//! | `W-ENV` | `GALACTOS_*` knob reads only in the three designated resolution modules |
+//! | `W-ENV` | `GALACTOS_*` knob reads only in the one designated resolution module (`estimator.rs`) |
 //! | `W-DETERMINISM` | parallel float reductions go through the ordered two-arg `fold`/`reduce` helpers |
 //! | `W-CAST` | no bare `as` narrowing in `catalog::io` / `shard.rs` header parsing |
 //!
